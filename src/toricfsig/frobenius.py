@@ -8,11 +8,20 @@ integer arithmetic: writing w in lattice coordinates c/q, the coefficient is
 (c . g_i + a_i) // q with g_i the integer facet pairings of the basis.
 
 The coset space has q^d elements and dominates the runtime of the whole
-package, so counting runs through numpy int64 in fixed-size chunks whenever
-the intermediate values provably fit; a pure-Python big-integer path handles
-the rest and doubles as the reference for partition-independence tests.
-Chunked merging is commutative, so the resulting multiset is identical under
-any partition of the coset index space.
+package, so counting never visits single cosets.  The base divisor is first
+reduced to 0 <= r < q (a = q*k + r shifts every summand by k, hence every
+class by the class of k).  The coordinate whose column of G has the least
+absolute sum K is then taken innermost: with the other d-1 coordinates
+fixed, each facet floor is a step function of the last one with at most
+|g_i| steps, so a prefix row splits into at most K + 1 runs of constant
+class.  One numpy int64 kernel evaluates the class at each run start and
+tallies it weighted by the run length, for about q^(d-1) * min(q, 1 + K)
+work instead of q^d.  Chunked merging is commutative, so the resulting
+multiset is identical under any partition of the prefix rows.
+
+A pure-Python big-integer loop over single cosets serves ``detail``
+requests, rings whose values G*(q-1) overflow int64, and the tests as the
+reference.
 """
 
 from __future__ import annotations
@@ -116,7 +125,8 @@ def decompose(
     q^d.  With ``detail`` the per-coset pairs (representative, summand
     divisor) are kept, representatives being the lattice basis combinations
     with coefficients in [0, q)^d over q, in lexicographic coefficient
-    order.
+    order.  ``chunk_size`` bounds the elements of one numpy block, prefix
+    rows times runs per row; it never changes the result.
     """
     if len(divisor) != spec.num_facets:
         raise ValueError("divisor length does not match facet count")
@@ -136,59 +146,108 @@ def decompose(
         # form, so the multiset is forced without enumerating
         return FrobeniusDecomposition(spec, ctx, divisor, {cg.zero(): total})
 
-    if _coset_values_fit_int64(spec, divisor, q, cg, g):
-        summands = _decompose_numpy(divisor, q, d, cg, g, total, chunk_size)
+    if _coset_values_fit_int64(q, cg, g):
+        # a = q*k + r with 0 <= r < q: floor((x + q*k)/q) = k + floor(x/q),
+        # so every summand of a is the summand of r plus k
+        k = WeilDivisor(tuple(a // q for a in divisor.coeffs))
+        r = tuple(a % q for a in divisor.coeffs)
+        shift = class_of(cg, k)
+        nfree = cg.free_rank
+        shifted = [
+            (cg.add(ClassElement(key[:nfree], key[nfree:]), shift), n)
+            for key, n in _count_runs(r, q, cg, g, chunk_size).items()
+        ]
+        summands = dict(sorted(shifted, key=lambda kv: (kv[0].free, kv[0].torsion)))
     else:
         summands, _ = _decompose_pure(spec, divisor, q, cg, g, want_detail=False)
     return FrobeniusDecomposition(spec, ctx, divisor, summands)
 
 
-def _coset_values_fit_int64(spec, divisor, q, cg, g) -> bool:
-    pairing_bound = 0
-    for i in range(g.rows):
-        row_sum = sum(abs(x) for x in g.row(i)) * (q - 1) + abs(divisor.coeffs[i])
-        pairing_bound = max(pairing_bound, row_sum)
-    floor_bound = pairing_bound // q + 1
+def _coset_values_fit_int64(q, cg, g) -> bool:
+    """Whether every intermediate of ``_count_runs`` fits in int64.
+
+    With 0 <= r < q, facet values up to the end t = q of a row and the
+    breakpoint numerators all stay below (sum |g_ij| + 2) * q.
+    """
+    value_bound = (sum(abs(x) for row in g.to_rows() for x in row) + 2) * q
+    floor_bound = value_bound // q + 1
     proj_bound = max(
         (sum(abs(x) for x in cg.projection.row(i)) for i in range(cg.projection.rows)),
         default=0,
     )
-    return q**spec.dim < _INT64_SAFE and pairing_bound < _INT64_SAFE and (
+    return q**g.cols < _INT64_SAFE and value_bound < _INT64_SAFE and (
         floor_bound * max(proj_bound, 1) < _INT64_SAFE
     )
 
 
-def _decompose_numpy(divisor, q, d, cg, g, total, chunk_size) -> dict:
-    gt = np.array(g.to_rows(), dtype=np.int64).T
-    a = np.array(divisor.coeffs, dtype=np.int64)
+def _count_runs(r, q, cg, g, chunk_size) -> dict:
+    """Class coordinates of the cosets c in [0, q)^d, counted with
+    multiplicity, for a base divisor r with 0 <= r_i < q.
+
+    The column of G with the least absolute sum K becomes the innermost
+    axis t.  With the other coordinates fixed at c', facet i takes the value
+    base_i + g_i*t, base_i = c'.g'_i + r_i, and its floor over q changes at
+    no more than |g_i| values of t.  Each prefix row c' thus splits into at
+    most K + 1 runs of constant class; when K + 1 >= q every t starts a run
+    and this is the plain per-coset count.
+    """
+    grows = g.to_rows()
+    m, d = g.rows, g.cols
+    inner = min(range(d), key=lambda j: sum(abs(row[j]) for row in grows))
+    outer = [j for j in range(d) if j != inner]
+    g_out = np.array([[row[j] for j in outer] for row in grows], dtype=np.int64).T
+    g_in = np.array([row[inner] for row in grows], dtype=np.int64)
+    a = np.array(r, dtype=np.int64)
     free_rows, torsion_rows, mods = _projection_split(cg)
     proj = np.array(free_rows + torsion_rows, dtype=np.int64).T
     mods_arr = np.array(mods, dtype=np.int64)
     nfree = len(free_rows)
-    powers = np.array([q ** (d - 1 - j) for j in range(d)], dtype=np.int64)
+    powers = np.array([q ** (d - 2 - j) for j in range(d - 1)], dtype=np.int64)
+
+    h = np.abs(g_in)
+    dense = int(h.sum()) + 1 >= q
+    if not dense:
+        # breakpoint s = 1..|g_i| of facet i, as a function of rem = base
+        # mod q: the floor moves at t = ceil((s*q - rem)/g_i) when g_i > 0
+        # and at t = floor((rem + (s-1)*q)/|g_i|) + 1 when g_i < 0
+        fac = np.repeat(np.arange(m), h)
+        s = np.concatenate([np.arange(1, n + 1, dtype=np.int64) for n in h.tolist()])
+        hf = h[fac]
+        up = g_in[fac] > 0
+        offset = np.where(up, s * q + hf - 1, (s - 1) * q + hf)
+        sign = np.where(up, -1, 1)
+    nseg = q if dense else len(fac) + 1
+    nrows = q ** (d - 1)
+    block = max(1, chunk_size // nseg)
 
     counts: dict[tuple, int] = {}
-    for start in range(0, total, chunk_size):
-        stop = min(start + chunk_size, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        c = (idx[:, None] // powers[None, :]) % q
-        floors = (c @ gt + a) // q
-        coords = floors @ proj
+    for start in range(0, nrows, block):
+        idx = np.arange(start, min(start + block, nrows), dtype=np.int64)
+        prefix = (idx[:, None] // powers[None, :]) % q
+        base = prefix @ g_out + a
+        if dense:
+            starts = np.broadcast_to(np.arange(q, dtype=np.int64), (len(idx), q))
+            weights = 1
+        else:
+            t = (offset + sign * (base % q)[:, fac]) // hf
+            starts = np.sort(np.minimum(t, q), axis=1)
+            starts = np.concatenate([np.zeros((len(idx), 1), np.int64), starts], axis=1)
+            weights = np.diff(starts, axis=1, append=q).ravel()
+        floors = (base[:, None, :] + starts[:, :, None] * g_in) // q
+        coords = floors.reshape(-1, m) @ proj
         if len(mods):
             coords[:, nfree:] %= mods_arr
-        _tally_rows(coords, counts)
-    out = {}
-    for key in sorted(counts):
-        out[ClassElement(tuple(key[:nfree]), tuple(key[nfree:]))] = counts[key]
-    return out
+        _tally_rows(coords, weights, counts)
+    return counts
 
 
-def _tally_rows(coords, counts: dict) -> None:
-    """Accumulate row multiplicities of an integer array into ``counts``.
+def _tally_rows(coords, weights, counts: dict) -> None:
+    """Accumulate weighted row multiplicities of an integer array into
+    ``counts``; rows of weight zero add nothing.
 
     Class coordinates occupy a tiny value range, so pack each row into one
-    mixed-radix key and histogram with bincount; fall back to row-unique
-    when the packed range would be sparse.
+    mixed-radix key and histogram it; fall back to row-unique when the
+    packed range would be sparse.
     """
     n, k = coords.shape
     if n == 0:
@@ -201,7 +260,8 @@ def _tally_rows(coords, counts: dict) -> None:
             [math.prod(spans[j + 1 :]) for j in range(k)], dtype=np.int64
         )
         keys = (coords - mins) @ strides
-        hist = np.bincount(keys, minlength=span_total)
+        hist = np.zeros(span_total, dtype=np.int64)
+        np.add.at(hist, keys, weights)
         base = mins.tolist()
         for packed in np.nonzero(hist)[0].tolist():
             digits = []
@@ -212,10 +272,13 @@ def _tally_rows(coords, counts: dict) -> None:
             key = tuple(digits)
             counts[key] = counts.get(key, 0) + int(hist[packed])
     else:
-        uniq, cnt = np.unique(coords, axis=0, return_counts=True)
+        uniq, inverse = np.unique(coords, axis=0, return_inverse=True)
+        cnt = np.zeros(len(uniq), dtype=np.int64)
+        np.add.at(cnt, inverse.ravel(), weights)
         for row, c in zip(uniq.tolist(), cnt.tolist()):
-            key = tuple(row)
-            counts[key] = counts.get(key, 0) + c
+            if c:
+                key = tuple(row)
+                counts[key] = counts.get(key, 0) + c
 
 
 def _decompose_pure(spec, divisor, q, cg, g, want_detail):

@@ -131,6 +131,8 @@ def validate(spec: RingSpec) -> list[str]:
     """
     violations = []
     d = spec.dim
+    if d < 1:
+        return ["dimension must be at least 1"]
     if spec.lattice.basis.cols != d or spec.lattice.basis.det() == 0:
         return ["lattice basis not full rank"]
     for i, f in enumerate(spec.facets):
@@ -320,7 +322,7 @@ def ring_from_dict(data: dict) -> RingSpec:
             facets.append(FacetFunctional(tuple(Fraction(str(x)) for x in r)))
     except RingFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise RingFormatError(f"malformed ring definition: {exc}") from exc
     return RingSpec(name=name, lattice=Lattice(basis), facets=tuple(facets))
 

@@ -171,6 +171,37 @@ def test_invalid_ring_file_exits_2(tmp_path):
     assert res.returncode == 2
 
 
+def test_zero_denominator_facet_exits_2(tmp_path):
+    path = tmp_path / "bad_fraction.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "bad_fraction",
+                "dim": 2,
+                "lattice_basis": [[1, 0], [0, 1]],
+                "facets": [["1/0", "0"], ["0", "1"]],
+            }
+        )
+    )
+    for args in (("classgroup",), ("verify", "-p", "2,3", "-e", "2")):
+        res = run_cli(*args, "--ring", str(path))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert "malformed ring definition" in res.stderr
+
+
+def test_zero_dimension_ring_exits_2(tmp_path):
+    path = tmp_path / "bad_dim0.json"
+    path.write_text(
+        json.dumps({"name": "bad_dim0", "dim": 0, "lattice_basis": [], "facets": []})
+    )
+    for args in (("classgroup",), ("verify", "-p", "2,3", "-e", "2")):
+        res = run_cli(*args, "--ring", str(path))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert "dimension must be at least 1" in res.stderr
+
+
 def test_verify_corpus_json_report(tmp_path):
     out = tmp_path / "report.json"
     res = run_cli(

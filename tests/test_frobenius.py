@@ -18,7 +18,8 @@ from toricfsig.frobenius import (
     multiplicity_of,
     simultaneous_torsion_count,
 )
-from toricfsig.rings import parse_builtin
+from toricfsig import frobenius
+from toricfsig.rings import parse_builtin, pairing_matrix, ring_from_dict, validate
 
 CORPUS = (
     ["poly:1", "poly:2", "poly:3", "quadric"]
@@ -307,3 +308,117 @@ def test_nonzero_divisor_numpy_matches_pure():
             fast = decompose(spec, d, ctx)
             slow = decompose(spec, d, ctx, detail=True)
             assert fast.summands == slow.summands
+
+
+# k[x,y,z] invariants of the (Z/2)^2 generated by diag(-1,-1,1) and
+# diag(1,-1,-1): exponents with a = b = c mod 2, torsion (Z/2)^2, all
+# pairings nonnegative
+KLEIN = {
+    "name": "klein",
+    "dim": 3,
+    "lattice_basis": [[1, 1, 1], [2, 0, 0], [0, 2, 0]],
+    "facets": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+}
+
+# free rank 2 and torsion (Z/2)^2; the innermost column of G,
+# (-3, 1, -3, 1, -1), has absolute sum 9 and mixed signs
+MIXED = {
+    "name": "mixed",
+    "dim": 3,
+    "lattice_basis": [[2, 0, 2], [0, 1, 1], [0, 0, 3]],
+    "facets": [
+        ["5/2", "5", "-1"],
+        ["1/6", "-1/3", "1/3"],
+        ["9/2", "5", "-1"],
+        ["7/6", "-1/3", "1/3"],
+        ["5/6", "7/3", "-1/3"],
+    ],
+}
+
+
+def _innermost_sum(spec):
+    rows = pairing_matrix(spec).to_rows()
+    return min(sum(abs(r[j]) for r in rows) for j in range(spec.dim))
+
+
+def _runs_vs_pure(spec, divisor, ctx):
+    fast = decompose(spec, divisor, ctx).summands
+    slow, _ = frobenius._decompose_pure(
+        spec, divisor, ctx.q, class_group(spec), pairing_matrix(spec), want_detail=False
+    )
+    assert fast == slow, (spec.name, divisor, ctx.q)
+    assert list(fast) == list(slow)
+
+
+def test_noncyclic_literal_rings():
+    klein = ring_from_dict(KLEIN)
+    mixed = ring_from_dict(MIXED)
+    for spec in (klein, mixed):
+        assert validate(spec) == []
+    assert class_group(klein).free_rank == 0
+    assert class_group(klein).invariant_factors == (2, 2)
+    assert class_group(mixed).free_rank == 2
+    assert class_group(mixed).invariant_factors == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "ring, p, e, sparse",
+    [(KLEIN, 2, 1, False), (KLEIN, 2, 3, True), (KLEIN, 5, 1, True),
+     (MIXED, 2, 3, False), (MIXED, 2, 4, True), (MIXED, 5, 2, True)],
+)
+def test_runs_match_pure_on_noncyclic_rings(ring, p, e, sparse):
+    # sparse: K + 1 < q, so rows split at breakpoints; otherwise every t
+    # starts a run and the kernel counts single cosets
+    spec = ring_from_dict(ring)
+    ctx = FrobeniusContext(p, e)
+    assert (_innermost_sum(spec) + 1 < ctx.q) == sparse
+    rng = random.Random(p * 100 + e)
+    m = spec.num_facets
+    for divisor in [
+        zero_divisor(spec),
+        WeilDivisor(tuple(-1 - i for i in range(m))),
+        WeilDivisor(tuple(rng.randint(-3 * ctx.q, 3 * ctx.q) for _ in range(m))),
+    ]:
+        _runs_vs_pure(spec, divisor, ctx)
+
+
+def test_huge_coefficients_match_pure():
+    # coefficients past int64 reduce to 0 <= r < q before counting
+    for token in ("an:4", "quadric"):
+        spec = parse_builtin(token)
+        m = spec.num_facets
+        for ctx in (FrobeniusContext(2, 1), FrobeniusContext(3, 1)):
+            for sign in (1, -1):
+                d = WeilDivisor(tuple(sign * (2**63 + 7 * i + 1) for i in range(m)))
+                _runs_vs_pure(spec, d, ctx)
+    klein = ring_from_dict(KLEIN)
+    _runs_vs_pure(klein, WeilDivisor((2**64, -(2**70) - 3, 5)), FrobeniusContext(2, 2))
+
+
+def test_large_divisor_stays_off_the_big_int_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("big-int path reached")
+
+    spec = parse_builtin("quadric")
+    ctx = FrobeniusContext(2, 6)
+    cg = class_group(spec)
+    r = decompose(spec, WeilDivisor((10**20 % 64, 0, 0, 0)), ctx)
+    monkeypatch.setattr(frobenius, "_decompose_pure", refuse)
+    dec = decompose(spec, WeilDivisor((10**20, 0, 0, 0)), ctx)
+    assert sum(dec.summands.values()) == ctx.q**3
+    shift = class_of(cg, WeilDivisor((10**20 // 64, 0, 0, 0)))
+    assert dec.summands == {cg.add(c, shift): n for c, n in r.summands.items()}
+
+
+def test_overflowing_pairings_use_the_big_int_path(monkeypatch):
+    # G has an entry 2^62, so G*(q-1) leaves int64 and the pure loop counts
+    spec = parse_builtin(f"an:{2**62}")
+    ctx = FrobeniusContext(3, 1)
+    expected = decompose(spec, WeilDivisor((1, -2)), ctx, detail=True).summands
+    calls = []
+    pure = frobenius._decompose_pure
+    monkeypatch.setattr(
+        frobenius, "_decompose_pure", lambda *a, **k: calls.append(1) or pure(*a, **k)
+    )
+    assert decompose(spec, WeilDivisor((1, -2)), ctx).summands == expected
+    assert calls == [1]
