@@ -1,15 +1,34 @@
-"""Exact polytope computations over rational arithmetic.
+"""Exact polytope computations by an integer double description.
 
 A polytope is handed around in H-form, a list of halfspaces (a, b) meaning
-a.u <= b with Fraction coefficients.  Vertices come from solving the d-subsets
-of the bounding hyperplanes, volume from coning a triangulated boundary over
-an interior point, so every number stays a Fraction end to end.
+a.u <= b with rational coefficients.  Each halfspace becomes the primitive
+integer row h = (-a, b) * den of the homogenised cone
+
+    C = {(u, t) : t >= 0 and b*t - a.u >= 0 for every halfspace},
+
+whose extreme rays with t > 0 are the vertices (u, 1) scaled by t.  The
+rays come from the double description method (Fukuda and Prodon, "Double
+description method revisited", 1996): start from the simplicial cone of
+d + 1 independent rows, insert the other rows one at a time, and combine
+only the adjacent pairs of rays the new row separates.  Every ray is a
+primitive integer vector, so no Fraction appears until a vertex is divided
+by its t.
+
+Each ray carries its zero set, the bitmask of rows it is tight on, which is
+the exact vertex-halfspace incidence.  Adjacency is decided from zero sets
+alone, and so is the volume: the facets of a face are the inclusion-maximal
+proper vertex subsets that one more halfspace makes tight, each face is
+triangulated by coning from one vertex over the facets avoiding it, and
+every simplex volume is an integer determinant of rays over the product of
+their t.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from fractions import Fraction
+
+from .linalg import IntMat
 
 Point = tuple[Fraction, ...]
 Halfspace = tuple[tuple[Fraction, ...], Fraction]
@@ -74,89 +93,142 @@ def affine_rank(points) -> int:
     return matrix_rank([[x - y for x, y in zip(p, base)] for p in pts[1:]])
 
 
-def det_fraction(rows) -> Fraction:
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] / a[k][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return det
+def _primitive(v) -> tuple[int, ...]:
+    g = math.gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
+def _cone_rows(halfspaces: list[Halfspace], dim: int) -> list[tuple[int, ...]]:
+    """Primitive integer rows h of C = {x : h.x >= 0}: row i for halfspace i,
+    then the row of t >= 0."""
+    rows = []
+    for a, b in halfspaces:
+        coeffs = [-x for x in a] + [b]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        rows.append(_primitive([c.numerator * (den // c.denominator) for c in coeffs]))
+    rows.append((0,) * dim + (1,))
+    return rows
+
+
+def _independent_rows(rows, order, n: int) -> list[int]:
+    """The first n linearly independent rows taken in the given order, or
+    fewer when the rows have rank below n."""
+    echelon = []  # (pivot, row), each row zero at every earlier pivot
+    chosen = []
+    for k in order:
+        r = rows[k]
+        for p, e in echelon:
+            if r[p]:
+                r = _primitive([e[p] * x - r[p] * y for x, y in zip(r, e)])
+        pivot = next((j for j, x in enumerate(r) if x), None)
+        if pivot is not None:
+            echelon.append((pivot, r))
+            chosen.append(k)
+            if len(chosen) == n:
+                break
+    return chosen
+
+
+def _extreme_rays(rows, dim: int):
+    """Extreme rays of {x in R^(dim+1) : h.x >= 0 for every row h}, each a
+    primitive integer ray with its zero set (bit k: tight on rows[k]).
+    Empty when the rows have rank below dim + 1: the cone then contains a
+    line, and the polyhedron has no vertex."""
+    n = dim + 1
+    order = [len(rows) - 1] + list(range(len(rows) - 1))  # t >= 0 first
+    basis = _independent_rows(rows, order, n)
+    if len(basis) < n:
+        return []
+    # the simplicial cone of the basis rows: ray j is tight on every basis
+    # row but the j-th, and is their generalised cross product
+    rays, zeros = [], []
+    for k in basis:
+        others = [rows[i] for i in basis if i != k]
+        ray = [
+            (-1) ** c * IntMat.from_rows([r[:c] + r[c + 1:] for r in others]).det()
+            for c in range(n)
+        ]
+        if sum(x * y for x, y in zip(rows[k], ray)) < 0:
+            ray = [-x for x in ray]
+        rays.append(_primitive(ray))
+        zeros.append(sum(1 << i for i in basis if i != k))
+    for k in order:
+        if k in basis:
+            continue
+        h, bit = rows[k], 1 << k
+        vals = [sum(x * y for x, y in zip(h, r)) for r in rays]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        new_rays = [r for r, v in zip(rays, vals) if v >= 0]
+        new_zeros = [z | bit if v == 0 else z for z, v in zip(zeros, vals) if v >= 0]
+        for i in pos:
+            for j in neg:
+                z = zeros[i] & zeros[j]
+                # adjacent: a 2-face needs n - 2 tight rows, and no third
+                # ray may be tight on all of them
+                if z.bit_count() < n - 2 or any(
+                    w & z == z for m, w in enumerate(zeros) if m != i and m != j
+                ):
+                    continue
+                vi, vj = vals[i], -vals[j]
+                new_rays.append(_primitive([vi * y + vj * x for x, y in zip(rays[i], rays[j])]))
+                new_zeros.append(z | bit)
+        rays, zeros = new_rays, new_zeros
+    return list(zip(rays, zeros))
+
+
+def _vertex_rays(halfspaces: list[Halfspace], dim: int):
+    """The vertices of {u : a.u <= b} as rays (u*t, t) with t > 0, each with
+    its zero set over the halfspaces."""
+    return [(r, z) for r, z in _extreme_rays(_cone_rows(halfspaces, dim), dim) if r[-1] > 0]
 
 
 def enumerate_vertices(halfspaces: list[Halfspace], dim: int) -> list[Point]:
-    """All vertices of the (assumed bounded) polytope {u : a.u <= b}.
+    """All vertices of the polyhedron {u : a.u <= b}, sorted.
 
-    Every vertex lies on some dim of the bounding hyperplanes, so solve all
-    dim-subsets and keep the feasible solutions.  Returned sorted, deduped.
+    Unbounded regions give their vertices only; empty regions and regions
+    containing a line give none.
     """
-    seen = set()
-    for subset in itertools.combinations(range(len(halfspaces)), dim):
-        rows = [halfspaces[i][0] for i in subset]
-        rhs = [halfspaces[i][1] for i in subset]
-        sol = solve_square(rows, rhs)
-        if sol is None:
-            continue
-        if all(dot(a, sol) <= b for a, b in halfspaces):
-            seen.add(sol)
-    return sorted(seen)
+    return sorted(
+        tuple(Fraction(x, r[-1]) for x in r[:-1]) for r, _ in _vertex_rays(halfspaces, dim)
+    )
 
 
-def _proper_faces(vertices: list[Point], halfspaces: list[Halfspace], dim: int):
-    """Facets of the face with the given vertex set and dimension, each as a
-    sorted vertex list.  A facet is cut out by one more halfspace going tight."""
-    out = {}
-    for a, b in halfspaces:
-        tight = [v for v in vertices if dot(a, v) == b]
-        if len(tight) == len(vertices) or len(tight) < dim:
-            continue
-        if affine_rank(tight) == dim - 1:
-            out[frozenset(tight)] = sorted(tight)
-    return [out[k] for k in sorted(out, key=sorted)]
-
-
-def _triangulate_face(vertices: list[Point], halfspaces: list[Halfspace], dim: int):
-    """Split a dim-face into dim-simplices (lists of dim+1 vertices) by coning
-    from its lexicographically smallest vertex over the facets avoiding it."""
-    if dim <= 0 or len(vertices) == dim + 1:
-        return [tuple(vertices)]
-    apex = vertices[0]
+def _triangulate(face: int, dim: int, tight: list[int]) -> list[tuple[int, ...]]:
+    """Simplices (vertex index tuples) covering the dim-face whose vertex
+    bitmask is ``face``, by coning from its lowest vertex over the facets
+    that avoid it.  ``tight[i]`` is the vertex bitmask of halfspace i."""
+    if face.bit_count() == dim + 1:
+        return [tuple(v for v in range(face.bit_length()) if face >> v & 1)]
+    apex = face & -face
+    cuts = {t & face for t in tight} - {0, face}
     simplices = []
-    for facet in _proper_faces(vertices, halfspaces, dim):
-        if apex in facet:
+    for facet in cuts:
+        if facet & apex or any(c != facet and c & facet == facet for c in cuts):
             continue
-        for s in _triangulate_face(facet, halfspaces, dim - 1):
-            simplices.append((apex,) + s)
+        simplices += [(apex.bit_length() - 1,) + s for s in _triangulate(facet, dim - 1, tight)]
     return simplices
 
 
 def polytope_volume(halfspaces: list[Halfspace], dim: int) -> Fraction:
     """Euclidean volume of a bounded polytope given in H-form.
 
-    Triangulates the boundary and sums the simplex cones over the vertex
-    centroid; exact because every determinant is rational.  Degenerate
+    Triangulates from the vertex-halfspace incidence and sums the simplex
+    volumes, exact because every determinant is an integer.  Degenerate
     (lower-dimensional or empty) input yields 0.
     """
-    vertices = enumerate_vertices(halfspaces, dim)
-    if affine_rank(vertices) < dim:
+    vertices = _vertex_rays(halfspaces, dim)
+    everything = (1 << len(vertices)) - 1
+    tight = [
+        sum(1 << v for v, (_, z) in enumerate(vertices) if z >> i & 1)
+        for i in range(len(halfspaces))
+    ]
+    # a bounded polytope is lower-dimensional exactly when some halfspace
+    # with a nonzero normal is tight at every vertex
+    if not vertices or any(t == everything and any(a) for t, (a, _) in zip(tight, halfspaces)):
         return Fraction(0)
-    k = Fraction(1, len(vertices))
-    centroid = tuple(sum((v[i] for v in vertices), Fraction(0)) * k for i in range(dim))
     total = Fraction(0)
-    for facet in _proper_faces(vertices, halfspaces, dim):
-        for simplex in _triangulate_face(facet, halfspaces, dim - 1):
-            rows = [[x - z for x, z in zip(v, centroid)] for v in simplex]
-            total += abs(det_fraction(rows))
-    fact = 1
-    for i in range(2, dim + 1):
-        fact *= i
-    return total / fact
+    for simplex in _triangulate(everything, dim, tight):
+        rays = [vertices[v][0] for v in simplex]
+        total += Fraction(abs(IntMat.from_rows(rays).det()), math.prod(r[-1] for r in rays))
+    return total / math.factorial(dim)

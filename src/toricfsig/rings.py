@@ -306,15 +306,25 @@ def ring_to_dict(spec: RingSpec) -> dict:
     }
 
 
+def _integer(x, what: str) -> int:
+    """An integer JSON number or integer string; int() alone would truncate
+    1.5 to 1 and read true as 1."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise RingFormatError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def ring_from_dict(data: dict) -> RingSpec:
     try:
         name = str(data["name"])
-        d = int(data["dim"])
+        d = _integer(data["dim"], "dim")
         basis_rows = data["lattice_basis"]
         facet_rows = data["facets"]
         if len(basis_rows) != d or any(len(r) != d for r in basis_rows):
             raise RingFormatError("lattice_basis must be a d-by-d integer matrix")
-        basis = IntMat.from_rows([[int(x) for x in r] for r in basis_rows])
+        basis = IntMat.from_rows(
+            [[_integer(x, "lattice_basis entry") for x in r] for r in basis_rows]
+        )
         facets = []
         for r in facet_rows:
             if len(r) != d:

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricfsig.cli import main
 
@@ -202,6 +208,21 @@ def test_zero_dimension_ring_exits_2(tmp_path):
         assert "dimension must be at least 1" in res.stderr
 
 
+def test_non_integral_ring_entries_exit_2(tmp_path):
+    # int() reads the first two as dim 2 and basis [[1, 0], [0, 1]], a valid
+    # ring, and raises OverflowError on the third
+    good = {"name": "x", "dim": 2, "lattice_basis": [[1, 0], [0, 1]],
+            "facets": [["1", "0"], ["0", "1"]]}
+    cases = [("dim", 2.5), ("lattice_basis", [[1.5, 0], [0, 1]]), ("dim", float("inf"))]
+    for n, (key, value) in enumerate(cases):
+        path = tmp_path / f"bad_{n}.json"
+        path.write_text(json.dumps({**good, key: value}))
+        res = run_cli("classgroup", "--ring", str(path))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert "must be an integer" in res.stderr
+
+
 def test_verify_corpus_json_report(tmp_path):
     out = tmp_path / "report.json"
     res = run_cli(
@@ -301,3 +322,58 @@ def test_csv_verify_format():
     lines = res.stdout.strip().splitlines()
     assert lines[0].startswith("ring,p,torsion_cardinality,exact_signature")
     assert lines[1].startswith("an:2,2,2,1/2,True,True")
+
+
+# Values a hand-written ring file might hold in place of an integer or a
+# fraction string, including those that once crashed or silently truncated.
+ODD_VALUES = st.sampled_from(
+    [1.5, 2.0, -0.5, float("inf"), True, False, None, "2", "1/0", "x", []]
+)
+FRACTION = st.builds(
+    lambda n, d: f"{n}/{d}", st.integers(-3, 3), st.sampled_from([1, 1, 1, 2])
+)
+
+
+def _spoil(draw, rows):
+    """Sometimes replace one entry of the nonempty rows by an odd value."""
+    cells = [(i, j) for i, row in enumerate(rows) for j in range(len(row))]
+    if cells and draw(st.integers(0, 3)) == 0:
+        i, j = draw(st.sampled_from(cells))
+        rows[i][j] = draw(ODD_VALUES)
+
+
+@st.composite
+def ring_documents(draw):
+    d = draw(st.integers(0, 4))
+    if d and draw(st.booleans()):
+        # identity basis and coordinate facets first, so the ring can validate
+        basis = [[int(i == j) for j in range(d)] for i in range(d)]
+        facets = [[str(int(i == j)) for j in range(d)] for i in range(d)]
+    else:
+        basis = [[draw(st.integers(-3, 3)) for _ in range(d)] for _ in range(d)]
+        facets = []
+    facets += [[draw(FRACTION) for _ in range(d)] for _ in range(draw(st.integers(0, 3)))]
+    if facets and draw(st.booleans()):
+        facets.append(list(facets[-1]))  # duplicate covector
+    if draw(st.integers(0, 3)) == 0:
+        facets.append(["0"] * d)  # zero covector
+    _spoil(draw, basis)
+    _spoil(draw, facets)
+    doc = {"name": "fuzz", "dim": d, "lattice_basis": basis, "facets": facets}
+    if draw(st.integers(0, 5)) == 0:
+        doc["dim"] = draw(st.one_of(st.integers(-1, 5), ODD_VALUES))
+    return doc
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(ring_documents())
+def test_ring_documents_exit_0_2_or_3_without_traceback(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ring.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["classgroup", "--ring", path])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -213,6 +213,19 @@ def test_ring_file_errors(tmp_path):
                 "facets": [["1"]],
             }
         )
+    good = {"name": "x", "dim": 2, "lattice_basis": [[1, 0], [0, 1]], "facets": []}
+    for key, value in [
+        ("dim", 2.5),
+        ("dim", True),
+        ("dim", float("inf")),
+        ("lattice_basis", [[1.5, 0], [0, 1]]),
+        ("lattice_basis", [[True, 0], [0, 1]]),
+    ]:
+        with pytest.raises(RingFormatError, match="must be an integer"):
+            ring_from_dict({**good, key: value})
+    # integral JSON numbers and integer strings still parse
+    for key, value in [("dim", 2.0), ("dim", "2"), ("lattice_basis", [["1", 0.0], [0, 1]])]:
+        assert ring_from_dict({**good, key: value}).lattice.basis == IntMat.identity(2)
 
 
 def test_lattice_coefficients_round_trip():
