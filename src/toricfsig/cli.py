@@ -171,6 +171,7 @@ def cmd_decompose(args) -> int:
     ctx = FrobeniusContext(args.p, args.e)
     dec = decompose(spec, divisor, ctx, detail=args.detail, cap=args.cap)
     items = sorted(dec.summands.items(), key=lambda kv: (kv[0].free, kv[0].torsion))
+    out = sys.stdout
     if args.format == "json":
         doc = {
             "ring": spec.name,
@@ -189,11 +190,21 @@ def cmd_decompose(args) -> int:
             ],
         }
         if args.detail:
-            doc["cosets"] = [
-                {"w": [str(x) for x in w], "divisor": list(d.coeffs)}
-                for w, d in dec.detail
-            ]
-        print(json.dumps(doc, indent=2, sort_keys=True))
+            # the rows are spliced into the dump of the rest of the document
+            # in place of a placeholder; a key line cannot occur in a string
+            doc["cosets"] = 0
+            head, tail = json.dumps(doc, indent=2, sort_keys=True).split(
+                '\n  "cosets": 0', 1
+            )
+            out.write(head + '\n  "cosets": [\n')
+            row = (
+                '    {\n      "divisor": ' + _json_list(spec.num_facets, "%s")
+                + ',\n      "w": ' + _json_list(spec.dim, '"%s"') + "\n    }"
+            )
+            _write_rows(out, dec.detail, row, ",\n", divisor_first=True)
+            out.write("\n  ]" + tail + "\n")
+        else:
+            print(json.dumps(doc, indent=2, sort_keys=True))
     elif args.format == "csv":
         print("class,multiplicity")
         for c, n in items:
@@ -204,13 +215,38 @@ def cmd_decompose(args) -> int:
         for c, n in items:
             print(f"  class {_class_label(c)}: {n}")
         if args.detail:
-            for w, d in dec.detail:
-                print(f"    w=({', '.join(map(str, w))})  divisor={list(d.coeffs)}")
+            row = (
+                "    w=(" + ", ".join(["%s"] * spec.dim) + ")  divisor=["
+                + ", ".join(["%s"] * spec.num_facets) + "]"
+            )
+            _write_rows(out, dec.detail, row, "\n", divisor_first=False)
+            out.write("\n")
     return EXIT_OK
+
+
+def _json_list(n: int, item: str) -> str:
+    """A ``json.dumps(indent=2)`` list of n >= 1 formatted items at depth 3."""
+    return "[\n" + ",\n".join(["        " + item] * n) + "\n      ]"
+
+
+def _write_rows(out, detail, row: str, sep: str, divisor_first: bool) -> None:
+    """Write one ``row % values`` per coset, joined by ``sep``, in blocks."""
+    block = 4096
+    for start in range(0, len(detail), block):
+        if start:
+            out.write(sep)
+        chunk = detail[start : start + block]
+        if divisor_first:
+            lines = [row % (d.coeffs + w) for w, d in chunk]
+        else:
+            lines = [row % (w + d.coeffs) for w, d in chunk]
+        out.write(sep.join(lines))
 
 
 def cmd_verify(args) -> int:
     ps = [int(x) for x in args.primes.split(",") if x]
+    if not ps:
+        raise ValueError(f"no primes in -p {args.primes!r}")
     if args.corpus:
         rings = default_corpus()
     else:

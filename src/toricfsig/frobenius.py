@@ -8,20 +8,24 @@ integer arithmetic: writing w in lattice coordinates c/q, the coefficient is
 (c . g_i + a_i) // q with g_i the integer facet pairings of the basis.
 
 The coset space has q^d elements and dominates the runtime of the whole
-package, so counting never visits single cosets.  The base divisor is first
-reduced to 0 <= r < q (a = q*k + r shifts every summand by k, hence every
-class by the class of k).  The coordinate whose column of G has the least
-absolute sum K is then taken innermost: with the other d-1 coordinates
-fixed, each facet floor is a step function of the last one with at most
-|g_i| steps, so a prefix row splits into at most K + 1 runs of constant
-class.  One numpy int64 kernel evaluates the class at each run start and
+package, so the int64 counter never visits single cosets.  The base
+divisor is first reduced to 0 <= r < q (a = q*k + r shifts every summand
+by k, hence every class by the class of k).  The coordinate whose column
+of G has the least absolute sum K is then taken innermost: with the other
+d-1 coordinates fixed, each facet floor is a step function of the last one
+with at most |g_i| steps, so a prefix row splits into at most K + 1 runs of
+constant class.  One numpy int64 kernel evaluates the class at each run start and
 tallies it weighted by the run length, for about q^(d-1) * min(q, 1 + K)
 work instead of q^d.  Chunked merging is commutative, so the resulting
 multiset is identical under any partition of the prefix rows.
 
-A pure-Python big-integer loop over single cosets serves ``detail``
-requests, rings whose values G*(q-1) overflow int64, and the tests as the
-reference.
+Per-coset ``detail`` and the rings whose values overflow int64 use one
+vectorised lexicographic grid instead: each block of cosets c gives the
+floors (c.G^T + r) // q + k and the representative numerators c.B over q,
+with one shared Fraction per distinct numerator.  Its dtype is int64 when
+the overflow bound allows and object (Python integers) otherwise; the
+object grid also tallies the classes for those rings.  numpy is imported
+inside the kernels only, so commands that count nothing never load it.
 """
 
 from __future__ import annotations
@@ -30,10 +34,9 @@ import itertools
 import math
 import os
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .geometry import solve_square
 from .linalg import IntMat
@@ -125,49 +128,60 @@ def decompose(
     q^d.  With ``detail`` the per-coset pairs (representative, summand
     divisor) are kept, representatives being the lattice basis combinations
     with coefficients in [0, q)^d over q, in lexicographic coefficient
-    order.  ``chunk_size`` bounds the elements of one numpy block, prefix
-    rows times runs per row; it never changes the result.
+    order.  ``chunk_size`` bounds the elements of one numpy block (prefix
+    rows times runs per row, or cosets of the grid); it never changes the
+    result.
     """
     if len(divisor) != spec.num_facets:
         raise ValueError("divisor length does not match facet count")
-    q = ctx.q
     d = spec.dim
+    cap = resolve_cap(cap)
+    if ctx.e * d > cap.bit_length():
+        # q^d >= 2^(e*d) > cap, decided before q^d is formed: its digits
+        # alone can take seconds to build and cannot be printed
+        raise CapExceededError(
+            f"coset enumeration for q^d = ({ctx.p}^{ctx.e})^{d} needs at "
+            f"least 2^{ctx.e * d} points, over the cap of {cap}; "
+            f"raise it with --cap or {CAP_ENV_VAR}"
+        )
+    q = ctx.q
     total = q**d
-    _check_cap(total, resolve_cap(cap), f"coset enumeration for q^d = {q}^{d}")
+    _check_cap(total, cap, f"coset enumeration for q^d = {q}^{d}")
     cg = class_group(spec)
     g = pairing_matrix(spec)
-
-    if detail:
-        summands, pairs = _decompose_pure(spec, divisor, q, cg, g, want_detail=True)
-        return FrobeniusDecomposition(spec, ctx, divisor, summands, tuple(pairs))
+    # a = q*k + r with 0 <= r < q: floor((x + q*k)/q) = k + floor(x/q),
+    # so every summand of a is the summand of r plus k
+    k = tuple(a // q for a in divisor.coeffs)
+    r = tuple(a % q for a in divisor.coeffs)
 
     if cg.projection.rows == 0:
         # trivial class group: every summand projects to the empty normal
         # form, so the multiset is forced without enumerating
-        return FrobeniusDecomposition(spec, ctx, divisor, {cg.zero(): total})
-
-    if _coset_values_fit_int64(q, cg, g):
-        # a = q*k + r with 0 <= r < q: floor((x + q*k)/q) = k + floor(x/q),
-        # so every summand of a is the summand of r plus k
-        k = WeilDivisor(tuple(a // q for a in divisor.coeffs))
-        r = tuple(a % q for a in divisor.coeffs)
-        shift = class_of(cg, k)
+        summands = {cg.zero(): total}
+    else:
+        if _coset_values_fit_int64(q, cg, g):
+            counts = _count_runs(r, q, cg, g, chunk_size)
+        else:
+            counts = _count_grid(r, q, cg, g, chunk_size)
+        shift = class_of(cg, WeilDivisor(k))
         nfree = cg.free_rank
         shifted = [
             (cg.add(ClassElement(key[:nfree], key[nfree:]), shift), n)
-            for key, n in _count_runs(r, q, cg, g, chunk_size).items()
+            for key, n in counts.items()
         ]
         summands = dict(sorted(shifted, key=lambda kv: (kv[0].free, kv[0].torsion)))
-    else:
-        summands, _ = _decompose_pure(spec, divisor, q, cg, g, want_detail=False)
-    return FrobeniusDecomposition(spec, ctx, divisor, summands)
+    rows = _detail_rows(spec, k, r, q, cg, g, chunk_size) if detail else None
+    return FrobeniusDecomposition(spec, ctx, divisor, summands, rows)
 
 
-def _coset_values_fit_int64(q, cg, g) -> bool:
-    """Whether every intermediate of ``_count_runs`` fits in int64.
+def _coset_values_fit_int64(q, cg, g, basis=None) -> bool:
+    """Whether every intermediate of ``_count_runs`` fits in int64, and
+    given the lattice ``basis`` B also the representative numerators c.B of
+    the detail grid.
 
     With 0 <= r < q, facet values up to the end t = q of a row and the
-    breakpoint numerators all stay below (sum |g_ij| + 2) * q.
+    breakpoint numerators all stay below (sum |g_ij| + 2) * q; the floors
+    then stay below 2^61 + 1 and the numerators below q * sum |b_jk|.
     """
     value_bound = (sum(abs(x) for row in g.to_rows() for x in row) + 2) * q
     floor_bound = value_bound // q + 1
@@ -175,9 +189,76 @@ def _coset_values_fit_int64(q, cg, g) -> bool:
         (sum(abs(x) for x in cg.projection.row(i)) for i in range(cg.projection.rows)),
         default=0,
     )
-    return q**g.cols < _INT64_SAFE and value_bound < _INT64_SAFE and (
+    reps_bound = 0 if basis is None else q * sum(
+        abs(x) for row in basis.to_rows() for x in row
+    )
+    return q**g.cols < _INT64_SAFE and max(value_bound, reps_bound) < _INT64_SAFE and (
         floor_bound * max(proj_bound, 1) < _INT64_SAFE
     )
+
+
+def _coset_blocks(q, d, chunk_size, dtype):
+    """The cosets c in [0, q)^d in lexicographic order, as arrays of at most
+    ``chunk_size`` rows; object dtype yields Python integers."""
+    import numpy as np
+
+    total = q**d
+    powers = np.array([q ** (d - 1 - j) for j in range(d)], dtype=dtype)
+    block = max(1, chunk_size)
+    for start in range(0, total, block):
+        idx = np.arange(start, min(start + block, total), dtype=np.int64)
+        yield (idx[:, None] // powers) % q
+
+
+def _count_grid(r, q, cg, g, chunk_size) -> dict:
+    """The counts of ``_count_runs`` in Python integers, for rings whose
+    values overflow int64: every coset of the grid is evaluated, with the
+    floors and class coordinates held in object arrays."""
+    import numpy as np
+
+    g_t = np.array(g.to_rows(), dtype=object).T
+    a = np.array(r, dtype=object)
+    free_rows, torsion_rows, mods = _projection_split(cg)
+    proj = np.array(free_rows + torsion_rows, dtype=object).T
+    mods_arr = np.array(mods, dtype=object)
+    nfree = len(free_rows)
+    counts = Counter()
+    for c in _coset_blocks(q, g.cols, chunk_size, object):
+        coords = ((c @ g_t + a) // q) @ proj
+        if len(mods):
+            coords[:, nfree:] %= mods_arr
+        counts.update(map(tuple, coords.tolist()))
+    return counts
+
+
+def _detail_rows(spec, k, r, q, cg, g, chunk_size) -> tuple:
+    """Per-coset pairs (representative, summand divisor) for the base
+    divisor q*k + r, over the grid c in [0, q)^d in lexicographic order.
+
+    Each block of at most ``chunk_size`` cosets yields the floors
+    (c.G^T + r) // q + k and the representative numerators c.B over q;
+    every distinct numerator of a block becomes one shared Fraction.
+    """
+    import numpy as np
+
+    basis = spec.lattice.basis
+    dtype = np.int64 if _coset_values_fit_int64(q, cg, g, basis) else object
+    g_t = np.array(g.to_rows(), dtype=dtype).T
+    b = np.array(basis.to_rows(), dtype=dtype)
+    a = np.array(r, dtype=dtype)
+    # floors stay below 2^61 + 1 on the int64 grid, so a shift below 2^62
+    # keeps their sum inside int64
+    small = dtype is np.int64 and all(abs(x) < _INT64_SAFE for x in k)
+    shift = np.array(k, dtype=np.int64 if small else object)
+    rows = []
+    for c in _coset_blocks(q, spec.dim, chunk_size, dtype):
+        floors = (c @ g_t + a) // q + shift
+        nums, index = np.unique((c @ b).ravel(), return_inverse=True)
+        reps = np.array([Fraction(n, q) for n in nums.tolist()], dtype=object)
+        reps = reps[index].reshape(c.shape).tolist()
+        divisors = map(WeilDivisor, map(tuple, floors.tolist()))
+        rows.extend(zip(map(tuple, reps), divisors))
+    return tuple(rows)
 
 
 def _count_runs(r, q, cg, g, chunk_size) -> dict:
@@ -191,6 +272,8 @@ def _count_runs(r, q, cg, g, chunk_size) -> dict:
     most K + 1 runs of constant class; when K + 1 >= q every t starts a run
     and this is the plain per-coset count.
     """
+    import numpy as np
+
     grows = g.to_rows()
     m, d = g.rows, g.cols
     inner = min(range(d), key=lambda j: sum(abs(row[j]) for row in grows))
@@ -249,6 +332,8 @@ def _tally_rows(coords, weights, counts: dict) -> None:
     mixed-radix key and histogram it; fall back to row-unique when the
     packed range would be sparse.
     """
+    import numpy as np
+
     n, k = coords.shape
     if n == 0:
         return
@@ -279,32 +364,6 @@ def _tally_rows(coords, weights, counts: dict) -> None:
             if c:
                 key = tuple(row)
                 counts[key] = counts.get(key, 0) + c
-
-
-def _decompose_pure(spec, divisor, q, cg, g, want_detail):
-    d = spec.dim
-    basis = spec.lattice.basis
-    grows = g.to_rows()
-    counts: dict[ClassElement, int] = {}
-    detail = []
-    for c in itertools.product(range(q), repeat=d):
-        floors = tuple(
-            (sum(cj * gi[j] for j, cj in enumerate(c)) + ai) // q
-            for gi, ai in zip(grows, divisor.coeffs)
-        )
-        summand = WeilDivisor(floors)
-        cls = class_of(cg, summand)
-        counts[cls] = counts.get(cls, 0) + 1
-        if want_detail:
-            w = tuple(
-                Fraction(sum(cj * basis.at(j, k) for j, cj in enumerate(c)), q)
-                for k in range(d)
-            )
-            detail.append((w, summand))
-    ordered = {}
-    for cls in sorted(counts, key=lambda e: (e.free, e.torsion)):
-        ordered[cls] = counts[cls]
-    return ordered, detail
 
 
 def free_rank(dec: FrobeniusDecomposition) -> int:
@@ -397,6 +456,8 @@ def _adjugate(m: IntMat) -> IntMat:
 
 
 def _box_count_numpy(bounds, adj, det, facet_nums, facet_dens, q):
+    import numpy as np
+
     d = len(bounds)
     sizes = [hi - lo + 1 for lo, hi in bounds]
     total = 1

@@ -377,3 +377,176 @@ def test_ring_documents_exit_0_2_or_3_without_traceback(doc):
             code = main(["classgroup", "--ring", path])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+def _run_in_process(argv, env_cap=None):
+    """Exit code, stdout and stderr of ``main(argv)``; argparse errors exit
+    through SystemExit and count by their code."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = os.environ.pop("TORICFSIG_CAP", None)
+    if env_cap is not None:
+        os.environ["TORICFSIG_CAP"] = env_cap
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.environ.pop("TORICFSIG_CAP", None)
+        if saved is not None:
+            os.environ["TORICFSIG_CAP"] = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_classgroup_does_not_load_numpy():
+    code = (
+        "import sys, contextlib, io\n"
+        "import toricfsig.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = toricfsig.cli.main(['classgroup', '--builtin', 'an:3'])\n"
+        "print(rc, 'numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = PKG_ROOT + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert res.stdout.split() == ["0", "False"], res.stderr
+
+
+def test_huge_e_is_refused_before_q_is_formed():
+    import time
+
+    for e in (10**6, 10**8):
+        start = time.perf_counter()
+        code, out, err = _run_in_process(
+            ["decompose", "--builtin", "an:3", "-p", "2", "-e", str(e)]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert f"(2^{e})^2" in err
+        assert "Traceback" not in err
+    code, _, err = _run_in_process(
+        ["decompose", "--builtin", "an:3", "-p", "3", "-e", str(10**6)]
+    )
+    assert code == 3 and "(3^1000000)^2" in err
+
+
+def test_verify_empty_prime_list_exits_2():
+    for primes in ("", ","):
+        res = run_cli("verify", "--builtin", "an:3", f"-p={primes}")
+        assert res.returncode == 2
+        assert "no primes" in res.stderr
+        assert "verdicts" not in res.stdout
+
+
+# --detail rows must render exactly as one json.dumps of the whole document
+# and one print per coset did before they were written in blocks
+def _old_detail_rendering(argv):
+    from toricfsig.cli import _class_label, build_parser, _resolve_ring
+    from toricfsig.divisors import WeilDivisor
+    from toricfsig.frobenius import FrobeniusContext, decompose
+
+    args = build_parser().parse_args(argv)
+    spec = _resolve_ring(args)
+    coeffs = (tuple(int(x) for x in args.divisor.split(",")) if args.divisor
+              else (0,) * spec.num_facets)
+    ctx = FrobeniusContext(args.p, args.e)
+    dec = decompose(spec, WeilDivisor(coeffs), ctx, detail=True)
+    items = sorted(dec.summands.items(), key=lambda kv: (kv[0].free, kv[0].torsion))
+    if args.format == "json":
+        doc = {
+            "ring": spec.name, "p": args.p, "e": args.e, "q": ctx.q,
+            "divisor": list(coeffs), "rank": dec.rank,
+            "summands": [{"free": list(c.free), "torsion": list(c.torsion),
+                          "multiplicity": n} for c, n in items],
+            "cosets": [{"w": [str(x) for x in w], "divisor": list(d.coeffs)}
+                       for w, d in dec.detail],
+        }
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    lines = [f"ring: {spec.name}  p={args.p} e={args.e} q={ctx.q}  rank={dec.rank}",
+             f"base divisor: {list(coeffs)}"]
+    lines += [f"  class {_class_label(c)}: {n}" for c, n in items]
+    lines += [f"    w=({', '.join(map(str, w))})  divisor={list(d.coeffs)}"
+              for w, d in dec.detail]
+    return "\n".join(lines) + "\n"
+
+
+def test_detail_output_matches_whole_document_rendering(tmp_path):
+    from test_frobenius import KLEIN, MIXED
+
+    rings = [("--builtin", t, m) for t, m in
+             [("poly:2", 2), ("quadric", 4), ("an:3", 2), ("veronese:5", 2),
+              (f"an:{2**62}", 2)]]
+    for name, doc in (("klein", KLEIN), ("mixed", MIXED)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        rings.append(("--ring", str(path), len(doc["facets"])))
+    for flag, ring, m in rings:
+        for p, e in ((2, 1), (3, 1), (2, 3)):
+            for divisor in (None, ",".join(str(-1 - 2 * i) for i in range(m)),
+                            ",".join(str((-1) ** i * (10**23 + i)) for i in range(m))):
+                for fmt in ("json", "text"):
+                    argv = ["decompose", flag, ring, "-p", str(p), "-e", str(e),
+                            "--detail", "--format", fmt]
+                    if divisor:
+                        argv.append(f"--divisor={divisor}")
+                    code, out, err = _run_in_process(argv)
+                    assert code == 0, err
+                    assert out == _old_detail_rendering(argv), argv
+
+
+# Option values for decompose/fsig/verify, valid and not; every example runs
+# under a small cap, so a large -e is refused before q^d is formed.
+ODD_INT_TEXT = ["", "x", "2.5", "1e3", " 3 ", "0x3", "1_1", "\u0663",
+                str(10**30), "9" * 5000]
+P_TEXT = st.sampled_from(["2", "3", "5", "7"] * 8 + ["-3", "0", "1", "4", "9", "41"]
+                         + ODD_INT_TEXT)
+E_TEXT = st.sampled_from(["1", "2", "3", "4"] * 8 + ["-1", "0", "9", str(10**6),
+                                                     str(10**8)] + ODD_INT_TEXT)
+CAP_TEXT = st.one_of(
+    st.integers(-2, 5000).map(str), st.integers(16, 5000).map(str),
+    st.sampled_from(["", "x", "1.5", " 64 "]),
+)
+
+
+@st.composite
+def option_argvs(draw):
+    command = draw(st.sampled_from(["decompose", "fsig", "verify"]))
+    ring = draw(st.sampled_from(["an:3", "quadric", "poly:2", "veronese:2"]))
+    argv = [command, "--builtin", ring]
+    if command == "verify":
+        argv.append("-p=" + ",".join(draw(st.lists(P_TEXT, min_size=1, max_size=3))))
+    else:
+        argv.append("-p=" + draw(P_TEXT))
+    argv.append("-e=" + draw(E_TEXT))
+    if command != "verify" and draw(st.booleans()):
+        m = 4 if ring == "quadric" else 2
+        size = draw(st.sampled_from([m] * 6 + [m - 1, m + 1]))
+        coeffs = draw(st.lists(
+            st.one_of(st.integers(-10, 10), st.integers(-(10**30), 10**30)),
+            min_size=size, max_size=size))
+        text = ",".join(map(str, coeffs))
+        text = draw(st.sampled_from([text] * 6 + ["a,b", "1,,2", ""]))
+        argv.append("--divisor=" + text)
+    if command == "decompose" and draw(st.booleans()):
+        argv.append("--detail")
+    if command == "fsig" and draw(st.booleans()):
+        argv.append("--exact")
+    cap = draw(st.one_of(st.none(), CAP_TEXT))
+    env_cap = draw(st.one_of(st.none(), CAP_TEXT))
+    if cap is None and not env_cap:
+        cap = "64"  # never fall back to the default cap
+    if cap is not None:
+        argv.append("--cap=" + cap)
+    argv += ["--format", draw(st.sampled_from(["text", "csv", "json"]))]
+    return argv, env_cap
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(option_argvs())
+def test_option_values_exit_0_2_or_3_without_traceback(case):
+    argv, env_cap = case
+    code, _, err = _run_in_process(argv, env_cap)
+    assert code in (0, 2, 3), (argv, env_cap, err)
+    assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -341,11 +342,36 @@ def _innermost_sum(spec):
     return min(sum(abs(r[j]) for r in rows) for j in range(spec.dim))
 
 
+def decompose_reference(spec, divisor, q):
+    """Summands and per-coset detail from a plain loop over single cosets
+    in Python integers: the definition the kernels must reproduce."""
+    d = spec.dim
+    basis = spec.lattice.basis
+    cg = class_group(spec)
+    grows = pairing_matrix(spec).to_rows()
+    counts = {}
+    detail = []
+    for c in itertools.product(range(q), repeat=d):
+        floors = tuple(
+            (sum(cj * gi[j] for j, cj in enumerate(c)) + ai) // q
+            for gi, ai in zip(grows, divisor.coeffs)
+        )
+        summand = WeilDivisor(floors)
+        cls = class_of(cg, summand)
+        counts[cls] = counts.get(cls, 0) + 1
+        w = tuple(
+            F(sum(cj * basis.at(j, k) for j, cj in enumerate(c)), q)
+            for k in range(d)
+        )
+        detail.append((w, summand))
+    order = sorted(counts, key=lambda e: (e.free, e.torsion))
+    ordered = {cls: counts[cls] for cls in order}
+    return ordered, tuple(detail)
+
+
 def _runs_vs_pure(spec, divisor, ctx):
     fast = decompose(spec, divisor, ctx).summands
-    slow, _ = frobenius._decompose_pure(
-        spec, divisor, ctx.q, class_group(spec), pairing_matrix(spec), want_detail=False
-    )
+    slow, _ = decompose_reference(spec, divisor, ctx.q)
     assert fast == slow, (spec.name, divisor, ctx.q)
     assert list(fast) == list(slow)
 
@@ -403,7 +429,7 @@ def test_large_divisor_stays_off_the_big_int_path(monkeypatch):
     ctx = FrobeniusContext(2, 6)
     cg = class_group(spec)
     r = decompose(spec, WeilDivisor((10**20 % 64, 0, 0, 0)), ctx)
-    monkeypatch.setattr(frobenius, "_decompose_pure", refuse)
+    monkeypatch.setattr(frobenius, "_count_grid", refuse)
     dec = decompose(spec, WeilDivisor((10**20, 0, 0, 0)), ctx)
     assert sum(dec.summands.values()) == ctx.q**3
     shift = class_of(cg, WeilDivisor((10**20 // 64, 0, 0, 0)))
@@ -411,14 +437,110 @@ def test_large_divisor_stays_off_the_big_int_path(monkeypatch):
 
 
 def test_overflowing_pairings_use_the_big_int_path(monkeypatch):
-    # G has an entry 2^62, so G*(q-1) leaves int64 and the pure loop counts
+    # G has an entry 2^62, so G*(q-1) leaves int64 and the object-dtype
+    # grid counts
     spec = parse_builtin(f"an:{2**62}")
     ctx = FrobeniusContext(3, 1)
-    expected = decompose(spec, WeilDivisor((1, -2)), ctx, detail=True).summands
+    expected, _ = decompose_reference(spec, WeilDivisor((1, -2)), ctx.q)
     calls = []
-    pure = frobenius._decompose_pure
+    grid = frobenius._count_grid
     monkeypatch.setattr(
-        frobenius, "_decompose_pure", lambda *a, **k: calls.append(1) or pure(*a, **k)
+        frobenius, "_count_grid", lambda *a, **k: calls.append(1) or grid(*a, **k)
     )
     assert decompose(spec, WeilDivisor((1, -2)), ctx).summands == expected
     assert calls == [1]
+
+
+DETAIL_RINGS = ["poly:2", "quadric", "an:3", "an:6", "veronese:2", "veronese:5"]
+
+
+def _detail_divisors(spec, q, rng):
+    m = spec.num_facets
+    return [
+        zero_divisor(spec),
+        WeilDivisor(tuple(-1 - i for i in range(m))),
+        WeilDivisor(tuple(rng.randint(-3 * q, 3 * q) for _ in range(m))),
+        WeilDivisor(tuple((-1) ** i * (2**63 + 5 * i + 1) for i in range(m))),
+    ]
+
+
+def _detail_vs_reference(spec, divisor, ctx, **kwargs):
+    dec = decompose(spec, divisor, ctx, detail=True, **kwargs)
+    summands, detail = decompose_reference(spec, divisor, ctx.q)
+    assert dec.summands == summands, (spec.name, divisor, ctx.q)
+    assert list(dec.summands) == list(summands)
+    assert isinstance(dec.detail, tuple)
+    assert dec.detail == detail, (spec.name, divisor, ctx.q)
+    for w, summand in dec.detail:
+        assert type(w) is tuple and all(type(x) is F for x in w)
+        assert type(summand) is WeilDivisor
+        assert all(type(x) is int for x in summand.coeffs)
+
+
+@pytest.mark.parametrize("token", DETAIL_RINGS)
+def test_detail_matches_reference_on_builtins(token):
+    # q = 2 and 4 are dense for every ring here, 16 and 25 sparse for most
+    spec = parse_builtin(token)
+    rng = random.Random(token)
+    for ctx in (FrobeniusContext(2, 1), FrobeniusContext(2, 2), FrobeniusContext(5, 1)):
+        for divisor in _detail_divisors(spec, ctx.q, rng):
+            _detail_vs_reference(spec, divisor, ctx)
+    if spec.dim == 2:
+        ctx = FrobeniusContext(2, 4)
+        for divisor in _detail_divisors(spec, ctx.q, rng):
+            _detail_vs_reference(spec, divisor, ctx)
+
+
+@pytest.mark.parametrize("ring", [KLEIN, MIXED])
+def test_detail_matches_reference_on_noncyclic_rings(ring):
+    spec = ring_from_dict(ring)
+    rng = random.Random(spec.name)
+    for ctx in (FrobeniusContext(2, 1), FrobeniusContext(3, 1), FrobeniusContext(2, 3)):
+        for divisor in _detail_divisors(spec, ctx.q, rng):
+            _detail_vs_reference(spec, divisor, ctx)
+
+
+def test_detail_blocks_smaller_than_a_row():
+    # blocks of 1, 3 and 5 cosets split the rows of q = 8 and 9 cosets
+    cases = (("quadric", FrobeniusContext(2, 3)), ("an:4", FrobeniusContext(3, 2)))
+    for token, ctx in cases:
+        spec = parse_builtin(token)
+        divisor = WeilDivisor(tuple(2 - 3 * i for i in range(spec.num_facets)))
+        for chunk in (1, 3, 5):
+            _detail_vs_reference(spec, divisor, ctx, chunk_size=chunk)
+
+
+def test_detail_on_the_object_grid():
+    # an:2^62 overflows int64 in G and in the basis, so the floors and the
+    # representative numerators are Python integers
+    spec = parse_builtin(f"an:{2**62}")
+    assert not frobenius._coset_values_fit_int64(
+        3, class_group(spec), pairing_matrix(spec), spec.lattice.basis
+    )
+    for coeffs in ((0, 0), (1, -2), (-(10**25), 7)):
+        divisor = WeilDivisor(coeffs)
+        for ctx in (FrobeniusContext(2, 1), FrobeniusContext(3, 1)):
+            _detail_vs_reference(spec, divisor, ctx)
+            _detail_vs_reference(spec, divisor, ctx, chunk_size=2)
+
+
+def test_trivial_class_group_detail():
+    spec = parse_builtin("poly:2")
+    cg = class_group(spec)
+    ctx = FrobeniusContext(3, 1)
+    dec = decompose(spec, WeilDivisor((4, -5)), ctx, detail=True)
+    assert dec.summands == {cg.zero(): 9}
+    assert len(dec.detail) == 9
+    assert dec.detail[1] == ((F(0), F(1, 3)), WeilDivisor((1, -2)))
+
+
+def test_cap_is_checked_before_q_is_formed():
+    # q^d >= 2^(e*d) > cap is decided from e and d alone
+    spec = parse_builtin("an:3")
+    ctx = FrobeniusContext(2, 10**8)
+    with pytest.raises(CapExceededError, match=r"\(2\^100000000\)\^2"):
+        decompose(spec, zero_divisor(spec), ctx)
+    with pytest.raises(CapExceededError, match=r"over the cap of 15"):
+        decompose(spec, zero_divisor(spec), FrobeniusContext(2, 2), cap=15)
+    dec = decompose(spec, zero_divisor(spec), FrobeniusContext(2, 2), cap=16)
+    assert dec.rank == 16
