@@ -24,13 +24,14 @@ vectorised lexicographic grid instead: each block of cosets c gives the
 floors (c.G^T + r) // q + k and the representative numerators c.B over q,
 with one shared Fraction per distinct numerator.  Its dtype is int64 when
 the overflow bound allows and object (Python integers) otherwise; the
-object grid also tallies the classes for those rings.  numpy is imported
-inside the kernels only, so commands that count nothing never load it.
+object grid also tallies the classes for those rings.  The box oracle walks
+the same grid over its bounding box, with the same choice of dtype.  numpy
+is imported inside the kernels only, so commands that count nothing never
+load it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import warnings
@@ -197,17 +198,19 @@ def _coset_values_fit_int64(q, cg, g, basis=None) -> bool:
     )
 
 
-def _coset_blocks(q, d, chunk_size, dtype):
-    """The cosets c in [0, q)^d in lexicographic order, as arrays of at most
-    ``chunk_size`` rows; object dtype yields Python integers."""
+def _grid_blocks(sizes, chunk_size, dtype):
+    """The points c of the box [0, sizes[0]) x ... x [0, sizes[-1]) in
+    lexicographic order, as arrays of at most ``chunk_size`` rows; object
+    dtype yields Python integers."""
     import numpy as np
 
-    total = q**d
-    powers = np.array([q ** (d - 1 - j) for j in range(d)], dtype=dtype)
+    total = math.prod(sizes)
+    radix = np.array([math.prod(sizes[j + 1 :]) for j in range(len(sizes))], dtype=dtype)
+    sizes = np.array(sizes, dtype=dtype)
     block = max(1, chunk_size)
     for start in range(0, total, block):
         idx = np.arange(start, min(start + block, total), dtype=np.int64)
-        yield (idx[:, None] // powers) % q
+        yield (idx[:, None] // radix) % sizes
 
 
 def _count_grid(r, q, cg, g, chunk_size) -> dict:
@@ -223,7 +226,7 @@ def _count_grid(r, q, cg, g, chunk_size) -> dict:
     mods_arr = np.array(mods, dtype=object)
     nfree = len(free_rows)
     counts = Counter()
-    for c in _coset_blocks(q, g.cols, chunk_size, object):
+    for c in _grid_blocks((q,) * g.cols, chunk_size, object):
         coords = ((c @ g_t + a) // q) @ proj
         if len(mods):
             coords[:, nfree:] %= mods_arr
@@ -251,7 +254,7 @@ def _detail_rows(spec, k, r, q, cg, g, chunk_size) -> tuple:
     small = dtype is np.int64 and all(abs(x) < _INT64_SAFE for x in k)
     shift = np.array(k, dtype=np.int64 if small else object)
     rows = []
-    for c in _coset_blocks(q, spec.dim, chunk_size, dtype):
+    for c in _grid_blocks((q,) * spec.dim, chunk_size, dtype):
         floors = (c @ g_t + a) // q + shift
         nums, index = np.unique((c @ b).ravel(), return_inverse=True)
         reps = np.array([Fraction(n, q) for n in nums.tolist()], dtype=object)
@@ -405,43 +408,55 @@ def box_count_oracle(
     projections anywhere: this is the monomial count of R modulo the q-th
     powers of the ambient variables when the ring is embedded facet-by-facet,
     and it independently reproduces the free rank of the coset decomposition.
+    The bounding box of the unit region scaled by q is walked in blocks of
+    ``DEFAULT_CHUNK`` points, in int64 when every product fits and in Python
+    integers otherwise.
     """
+    import numpy as np
+
     q = ctx.q
     vertices = unit_region_vertices(spec)
     if not vertices:
         raise RuntimeError("facet region has no vertices; spec is invalid")
-    bounds = []
-    grid_total = 1
+    lows, sizes = [], []
     for k in range(spec.dim):
         vals = [v[k] * q for v in vertices]
-        lo = math.ceil(min(vals))
-        hi = math.floor(max(vals))
-        bounds.append((lo, hi))
-        grid_total *= max(hi - lo + 1, 0)
-    _check_cap(grid_total, resolve_cap(cap), "bounding-box enumeration")
-    if grid_total == 0:
+        lows.append(math.ceil(min(vals)))
+        sizes.append(max(math.floor(max(vals)) - lows[-1] + 1, 0))
+    _check_cap(math.prod(sizes), resolve_cap(cap), "bounding-box enumeration")
+    if 0 in sizes:
         return 0
 
+    # u is a lattice point exactly when adj(B^T) u = 0 mod det, and facet i
+    # takes the value nums_i.u / den_i there
     basis_t = spec.lattice.basis.transpose()
-    det = basis_t.det()
-    adj = _adjugate(basis_t)
-    facet_nums = []
-    facet_dens = []
+    det = abs(basis_t.det())
+    adj = _adjugate(basis_t).to_rows()
+    nums, tops = [], []
     for f in spec.facets:
-        den = 1
-        for c in f.covector:
-            den = math.lcm(den, c.denominator)
-        facet_nums.append([int(c * den) for c in f.covector])
-        facet_dens.append(den)
-
-    coord_bound = max(max(abs(lo), abs(hi)) for lo, hi in bounds)
-    num_bound = max(sum(abs(x) for x in row) for row in facet_nums) * coord_bound
-    adj_bound = max(
-        sum(abs(adj.at(i, j)) for j in range(adj.cols)) for i in range(adj.rows)
-    ) * coord_bound
-    if max(num_bound, adj_bound, q * max(facet_dens)) < _INT64_SAFE:
-        return _box_count_numpy(bounds, adj, det, facet_nums, facet_dens, q)
-    return _box_count_pure(bounds, adj, det, facet_nums, facet_dens, q)
+        den = math.lcm(*(c.denominator for c in f.covector))
+        nums.append([int(c * den) for c in f.covector])
+        tops.append(q * den)
+    # both products of a point and the tops stay below 2^62 on the int64 grid
+    coord_bound = max(max(abs(lo), abs(lo + n - 1)) for lo, n in zip(lows, sizes))
+    fits = max(
+        max(sum(map(abs, row)) for row in nums) * coord_bound,
+        max(sum(map(abs, row)) for row in adj) * coord_bound,
+        max(tops),
+    ) < _INT64_SAFE
+    dtype = np.int64 if fits else object
+    lows_arr = np.array(lows, dtype=dtype)
+    adj_t = np.array(adj, dtype=dtype).T
+    nums_t = np.array(nums, dtype=dtype).T
+    tops_arr = np.array(tops, dtype=dtype)
+    count = 0
+    for c in _grid_blocks(sizes, DEFAULT_CHUNK, dtype):
+        u = c + lows_arr
+        vals = u @ nums_t
+        ok = ((u @ adj_t) % det == 0).all(axis=1)
+        ok &= (vals >= 0).all(axis=1) & (vals < tops_arr).all(axis=1)
+        count += int(ok.sum())
+    return count
 
 
 def _adjugate(m: IntMat) -> IntMat:
@@ -453,52 +468,3 @@ def _adjugate(m: IntMat) -> IntMat:
         col = solve_square(m.to_rows(), rhs)
         cols.append([int(x) for x in col])
     return IntMat.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
-
-
-def _box_count_numpy(bounds, adj, det, facet_nums, facet_dens, q):
-    import numpy as np
-
-    d = len(bounds)
-    sizes = [hi - lo + 1 for lo, hi in bounds]
-    total = 1
-    for s in sizes:
-        total *= s
-    adj_t = np.array(adj.to_rows(), dtype=np.int64).T
-    nums = np.array(facet_nums, dtype=np.int64).T
-    dens = np.array(facet_dens, dtype=np.int64)
-    lows = np.array([lo for lo, _ in bounds], dtype=np.int64)
-    count = 0
-    chunk = DEFAULT_CHUNK
-    radix = np.array(
-        [math.prod(sizes[j + 1 :]) for j in range(d)], dtype=np.int64
-    )
-    sizes_arr = np.array(sizes, dtype=np.int64)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        u = (idx[:, None] // radix[None, :]) % sizes_arr + lows
-        in_lattice = ((u @ adj_t) % abs(det) == 0).all(axis=1)
-        vals = u @ nums
-        ok = in_lattice & (vals >= 0).all(axis=1) & (vals < q * dens).all(axis=1)
-        count += int(ok.sum())
-    return count
-
-
-def _box_count_pure(bounds, adj, det, facet_nums, facet_dens, q):
-    count = 0
-    adet = abs(det)
-    for u in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)):
-        if any(
-            sum(adj.at(j, i) * u[i] for i in range(adj.cols)) % adet
-            for j in range(adj.rows)
-        ):
-            continue
-        good = True
-        for nums, den in zip(facet_nums, facet_dens):
-            v = sum(n * x for n, x in zip(nums, u))
-            if v < 0 or v >= q * den:
-                good = False
-                break
-        if good:
-            count += 1
-    return count

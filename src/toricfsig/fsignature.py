@@ -48,6 +48,8 @@ def signature_sequence(
     of D; these terms converge to the same limit as the default free-rank
     sequence whenever D is torsion.
     """
+    if e_max < 1:
+        raise ValueError("e_max must be at least 1")
     cg = class_group(spec)
     target = None if divisor is None else class_of(cg, divisor)
     out = []

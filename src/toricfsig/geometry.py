@@ -20,7 +20,8 @@ alone, and so is the volume: the facets of a face are the inclusion-maximal
 proper vertex subsets that one more halfspace makes tight, each face is
 triangulated by coning from one vertex over the facets avoiding it, and
 every simplex volume is an integer determinant of rays over the product of
-their t.
+their t.  The same incidence tells ring validation whether the region is
+flat and which halfspaces cut facets of it.
 """
 
 from __future__ import annotations
@@ -82,15 +83,6 @@ def matrix_rank(rows) -> int:
         rank += 1
         col += 1
     return rank
-
-
-def affine_rank(points) -> int:
-    """Dimension of the affine hull of the given points (-1 when empty)."""
-    pts = list(points)
-    if not pts:
-        return -1
-    base = pts[0]
-    return matrix_rank([[x - y for x, y in zip(p, base)] for p in pts[1:]])
 
 
 def _primitive(v) -> tuple[int, ...]:
@@ -210,12 +202,13 @@ def _triangulate(face: int, dim: int, tight: list[int]) -> list[tuple[int, ...]]
     return simplices
 
 
-def polytope_volume(halfspaces: list[Halfspace], dim: int) -> Fraction:
-    """Euclidean volume of a bounded polytope given in H-form.
+def vertex_incidence(halfspaces: list[Halfspace], dim: int):
+    """The vertices of a bounded region {u : a.u <= b} as rays (u*t, t),
+    the bitmask tight[i] of the vertices halfspace i is tight at, and
+    whether the region is flat (empty or lower-dimensional).
 
-    Triangulates from the vertex-halfspace incidence and sums the simplex
-    volumes, exact because every determinant is an integer.  Degenerate
-    (lower-dimensional or empty) input yields 0.
+    A bounded region is lower-dimensional exactly when some halfspace with
+    a nonzero normal is tight at every vertex.
     """
     vertices = _vertex_rays(halfspaces, dim)
     everything = (1 << len(vertices)) - 1
@@ -223,12 +216,24 @@ def polytope_volume(halfspaces: list[Halfspace], dim: int) -> Fraction:
         sum(1 << v for v, (_, z) in enumerate(vertices) if z >> i & 1)
         for i in range(len(halfspaces))
     ]
-    # a bounded polytope is lower-dimensional exactly when some halfspace
-    # with a nonzero normal is tight at every vertex
-    if not vertices or any(t == everything and any(a) for t, (a, _) in zip(tight, halfspaces)):
+    flat = not vertices or any(
+        t == everything and any(a) for t, (a, _) in zip(tight, halfspaces)
+    )
+    return vertices, tight, flat
+
+
+def polytope_volume(halfspaces: list[Halfspace], dim: int) -> Fraction:
+    """Euclidean volume of a bounded polytope given in H-form.
+
+    Triangulates from the vertex-halfspace incidence and sums the simplex
+    volumes, exact because every determinant is an integer.  Degenerate
+    (lower-dimensional or empty) input yields 0.
+    """
+    vertices, tight, flat = vertex_incidence(halfspaces, dim)
+    if flat:
         return Fraction(0)
     total = Fraction(0)
-    for simplex in _triangulate(everything, dim, tight):
+    for simplex in _triangulate((1 << len(vertices)) - 1, dim, tight):
         rays = [vertices[v][0] for v in simplex]
         total += Fraction(abs(IntMat.from_rows(rays).det()), math.prod(r[-1] for r in rays))
     return total / math.factorial(dim)

@@ -9,8 +9,6 @@ ties broken by row index then column index.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 
@@ -307,21 +305,3 @@ def kernel_basis(a: IntMat) -> list[tuple[int, ...]]:
     rank = sum(1 for d in dec.diagonal() if d)
     return [dec.V.col(j) for j in range(rank, a.cols)]
 
-
-def determinantal_divisors(a: IntMat) -> list[int]:
-    """gcd of all k-by-k minors for k = 1..min(rows, cols), stopping after
-    the first zero.  Independent route to the invariant factors, used as a
-    cross-check oracle; exponential in k, so small matrices only."""
-    out = []
-    for k in range(1, min(a.rows, a.cols) + 1):
-        g = 0
-        for ri in itertools.combinations(range(a.rows), k):
-            for ci in itertools.combinations(range(a.cols), k):
-                sub = IntMat.from_rows(
-                    [[a.at(i, j) for j in ci] for i in ri]
-                )
-                g = math.gcd(g, sub.det())
-        out.append(g)
-        if g == 0:
-            break
-    return out

@@ -15,9 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-
-from .geometry import affine_rank, dot, enumerate_vertices, matrix_rank, solve_square
+from .geometry import dot, enumerate_vertices, matrix_rank, solve_square, vertex_incidence
 from .linalg import IntMat, hermite_normal_form
 
 
@@ -117,7 +115,6 @@ def unit_region_halfspaces(spec: RingSpec):
     return hs
 
 
-@lru_cache(maxsize=None)
 def unit_region_vertices(spec: RingSpec):
     return tuple(enumerate_vertices(unit_region_halfspaces(spec), spec.dim))
 
@@ -168,13 +165,18 @@ def validate(spec: RingSpec) -> list[str]:
         violations.append("cone not pointed")
         return violations
 
-    vertices = unit_region_vertices(spec)
-    if affine_rank(vertices) < d:
+    # the unit region is bounded now; halfspace 2i is facet_i >= 0, and it
+    # cuts a facet of the region exactly when its vertex set is a maximal
+    # proper nonempty one among all the halfspaces' vertex sets
+    vertices, tight, flat = vertex_incidence(unit_region_halfspaces(spec), d)
+    if flat:
         violations.append("cone not full-dimensional")
         return violations
-    for i, f in enumerate(spec.facets):
-        on_facet = [v for v in vertices if f.pairing(v) == 0]
-        if affine_rank(on_facet) != d - 1:
+    everything = (1 << len(vertices)) - 1
+    proper = {t for t in tight if t and t != everything}
+    for i in range(len(spec.facets)):
+        t = tight[2 * i]
+        if t not in proper or any(c != t and c & t == t for c in proper):
             violations.append(f"redundant facet (facet {i})")
     return violations
 
@@ -354,15 +356,28 @@ def dump_ring_file(spec: RingSpec, path: str) -> None:
 
 
 def is_prime(p: int) -> bool:
+    """Primality of p < 2^64 by Miller-Rabin over the prime bases up to 37,
+    which is deterministic below 3.18 * 10^23; larger p are refused, since
+    no enumeration at such a characteristic can finish."""
+    if p >= 1 << 64:
+        raise ValueError(f"p = {p} is too large; p must be below 2^64")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     if p < 2:
         return False
-    if p < 4:
+    if p in bases:
         return True
-    if p % 2 == 0:
+    if any(p % b == 0 for b in bases):
         return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s, d odd
+    d = (p - 1) >> s
+    for b in bases:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,6 +154,27 @@ def test_non_prime_characteristic_exits_2():
     assert "not prime" in res.stderr
     res = run_cli("decompose", "--builtin", "an:2", "-p", "9")
     assert res.returncode == 2
+
+
+def test_fsig_needs_at_least_one_term():
+    for e in ("0", "-2"):
+        res = run_cli("fsig", "--builtin", "an:3", "-e", e)
+        assert res.returncode == 2
+        assert res.stderr == "error: e_max must be at least 1\n"
+        assert res.stdout == ""
+
+
+def test_large_characteristic_is_decided_at_once():
+    # 2^61 - 1 is prime, so q^d = p^2 meets the cap; p >= 2^64 is refused
+    start = time.perf_counter()
+    res = run_cli("decompose", "--builtin", "an:3", "-p", str(2**61 - 1), "-e", "1", "--cap", "10")
+    assert time.perf_counter() - start < 1.0
+    assert res.returncode == 3
+    assert "over the cap of 10" in res.stderr
+    assert "Traceback" not in res.stderr
+    res = run_cli("decompose", "--builtin", "an:3", "-p", str(2**64 + 13))
+    assert res.returncode == 2
+    assert res.stderr == f"error: p = {2**64 + 13} is too large; p must be below 2^64\n"
 
 
 def test_invalid_ring_file_exits_2(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -20,7 +21,18 @@ from toricfsig.frobenius import (
     simultaneous_torsion_count,
 )
 from toricfsig import frobenius
-from toricfsig.rings import parse_builtin, pairing_matrix, ring_from_dict, validate
+from toricfsig.geometry import solve_square
+from toricfsig.linalg import IntMat
+from toricfsig.rings import (
+    FacetFunctional,
+    Lattice,
+    RingSpec,
+    pairing_matrix,
+    parse_builtin,
+    ring_from_dict,
+    unit_region_vertices,
+    validate,
+)
 
 CORPUS = (
     ["poly:1", "poly:2", "poly:3", "quadric"]
@@ -544,3 +556,148 @@ def test_cap_is_checked_before_q_is_formed():
         decompose(spec, zero_divisor(spec), FrobeniusContext(2, 2), cap=15)
     dec = decompose(spec, zero_divisor(spec), FrobeniusContext(2, 2), cap=16)
     assert dec.rank == 16
+
+
+def random_spec(rng, d, kind="plain"):
+    """A random ring spec of dimension d: primitive integer rows g of the
+    pairing matrix, positive on an interior point, over an HNF lattice basis
+    B, with facet covectors B^-1 g.  ``kind`` then adds a redundant row (the
+    sum of two rows), a flat pair (a row and its negative), a duplicate row
+    or twice a row; the spec may still be invalid in other ways."""
+    diag = [rng.choice((1, 1, 2, 3)) for _ in range(d)]
+    basis = [
+        [diag[i] if j == i else (rng.randrange(diag[j]) if j > i else 0) for j in range(d)]
+        for i in range(d)
+    ]
+    interior = [rng.randint(1, 3) for _ in range(d)]
+    rows = []
+    while len(rows) < d or (len(rows) < d + 3 and rng.random() < 0.5):
+        g = [rng.randint(-3, 3) for _ in range(d)]
+        if math.gcd(*g) == 1 and sum(a * b for a, b in zip(g, interior)) > 0:
+            rows.append(g)
+    g, h = rng.sample(rows, 2) if len(rows) > 1 else (rows[0], rows[0])
+    extra = {
+        "plain": [],
+        "redundant": [[x + y for x, y in zip(g, h)]],
+        "flat": [[-x for x in g]],
+        "duplicate": [g],
+        "multiple": [[2 * x for x in g]],
+    }[kind]
+    rows += [r for r in extra if any(r)]
+    rng.shuffle(rows)
+    facets = tuple(FacetFunctional(solve_square(basis, r)) for r in rows)
+    return RingSpec(f"random-{kind}", Lattice(IntMat.from_rows(basis)), facets)
+
+
+def _box_problem(spec, q):
+    """The old oracle set-up: the vertex bounding box scaled by q, the
+    adjugate membership test, integer facet numerators and denominators,
+    and whether its int64 bound held."""
+    vertices = unit_region_vertices(spec)
+    bounds = [
+        (math.ceil(min(v[k] * q for v in vertices)), math.floor(max(v[k] * q for v in vertices)))
+        for k in range(spec.dim)
+    ]
+    basis_t = spec.lattice.basis.transpose()
+    adj = frobenius._adjugate(basis_t)
+    facet_nums, facet_dens = [], []
+    for f in spec.facets:
+        den = 1
+        for c in f.covector:
+            den = math.lcm(den, c.denominator)
+        facet_nums.append([int(c * den) for c in f.covector])
+        facet_dens.append(den)
+    coord_bound = max(max(abs(lo), abs(hi)) for lo, hi in bounds)
+    num_bound = max(sum(abs(x) for x in row) for row in facet_nums) * coord_bound
+    adj_bound = max(
+        sum(abs(adj.at(i, j)) for j in range(adj.cols)) for i in range(adj.rows)
+    ) * coord_bound
+    fits = max(num_bound, adj_bound, q * max(facet_dens)) < frobenius._INT64_SAFE
+    return bounds, adj, basis_t.det(), facet_nums, facet_dens, fits
+
+
+def box_count_reference(spec, q):
+    """box_count_oracle one point at a time in Python integers: the plain
+    loop over the bounding box that the vectorised kernel must reproduce."""
+    bounds, adj, det, facet_nums, facet_dens, _ = _box_problem(spec, q)
+    count = 0
+    adet = abs(det)
+    for u in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)):
+        if any(
+            sum(adj.at(j, i) * u[i] for i in range(adj.cols)) % adet
+            for j in range(adj.rows)
+        ):
+            continue
+        good = True
+        for nums, den in zip(facet_nums, facet_dens):
+            v = sum(n * x for n, x in zip(nums, u))
+            if v < 0 or v >= q * den:
+                good = False
+                break
+        if good:
+            count += 1
+    return count
+
+
+def _box_vs_reference(spec, ctx, monkeypatch):
+    """The oracle equals the reference, on the dtype the old bound picks."""
+    import numpy as np
+
+    dtypes = []
+    blocks = frobenius._grid_blocks
+    monkeypatch.setattr(
+        frobenius,
+        "_grid_blocks",
+        lambda sizes, chunk, dtype: dtypes.append(dtype) or blocks(sizes, chunk, dtype),
+    )
+    fits = _box_problem(spec, ctx.q)[-1]
+    assert box_count_oracle(spec, ctx) == box_count_reference(spec, ctx.q), (spec.name, ctx)
+    assert dtypes == [np.int64 if fits else object]
+    monkeypatch.undo()
+    return fits
+
+
+BOX_RINGS = [
+    "poly:1", "poly:2", "poly:3", "quadric", "an:2", "an:5", "veronese:3", "veronese:7",
+]
+
+
+@pytest.mark.parametrize("ring", BOX_RINGS + ["klein", "mixed"])
+def test_box_count_matches_reference(ring, monkeypatch):
+    docs = {"klein": KLEIN, "mixed": MIXED}
+    spec = ring_from_dict(docs[ring]) if ring in docs else parse_builtin(ring)
+    for p, e in ((2, 1), (2, 3), (3, 2), (5, 1), (7, 1)):
+        if (p**e + 1) ** spec.dim <= 50_000:
+            assert _box_vs_reference(spec, FrobeniusContext(p, e), monkeypatch)
+
+
+def test_box_count_object_dtype(monkeypatch):
+    # the adjugate of an:2^62 has an entry 2^62, so the old int64 bound
+    # fails and the box is counted in Python integers
+    spec = parse_builtin(f"an:{2**62}")
+    for ctx in (FrobeniusContext(2, 1), FrobeniusContext(3, 2), FrobeniusContext(3, 5)):
+        assert not _box_vs_reference(spec, ctx, monkeypatch)
+    # a = b mod 2^62 with 0 <= a, b < 243 leaves the diagonal a = b
+    assert box_count_oracle(spec, FrobeniusContext(3, 5)) == 243
+
+
+def test_box_count_on_random_rings(monkeypatch):
+    rng = random.Random(17)
+    done = 0
+    while done < 12:
+        spec = random_spec(rng, rng.randint(1, 3))
+        if validate(spec):
+            continue
+        for ctx in (FrobeniusContext(2, 2), FrobeniusContext(3, 1)):
+            assert _box_vs_reference(spec, ctx, monkeypatch)
+        done += 1
+
+
+def test_box_count_blocks_smaller_than_a_row(monkeypatch):
+    # blocks of 1, 3 and 5 points split the rows of the box
+    for token, ctx in (("quadric", FrobeniusContext(2, 2)), (f"an:{2**62}", FrobeniusContext(3, 1))):
+        spec = parse_builtin(token)
+        want = box_count_reference(spec, ctx.q)
+        for chunk in (1, 3, 5):
+            monkeypatch.setattr(frobenius, "DEFAULT_CHUNK", chunk)
+            assert box_count_oracle(spec, ctx) == want, (token, chunk)

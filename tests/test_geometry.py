@@ -8,7 +8,6 @@ from test_frobenius import KLEIN, MIXED
 
 from toricfsig.fsignature import exact_signature_volume
 from toricfsig.geometry import (
-    affine_rank,
     dot,
     enumerate_vertices,
     matrix_rank,
@@ -36,6 +35,15 @@ def reference_vertices(halfspaces, dim):
         if all(dot(a, sol) <= b for a, b in halfspaces):
             seen.add(sol)
     return sorted(seen)
+
+
+def affine_rank(points) -> int:
+    """Dimension of the affine hull of the given points (-1 when empty)."""
+    pts = list(points)
+    if not pts:
+        return -1
+    base = pts[0]
+    return matrix_rank([[x - y for x, y in zip(p, base)] for p in pts[1:]])
 
 
 def det_fraction(rows):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 from toricfsig.linalg import (
     IntMat,
     cokernel_invariants,
-    determinantal_divisors,
     hermite_normal_form,
     kernel_basis,
     smith_normal_form,
@@ -174,6 +175,23 @@ def test_certificates_and_divisibility_random():
         h, u = hermite_normal_form(a)
         assert (u @ a) == h and u.is_unimodular()
         _hnf_shape_ok(h)
+
+
+def determinantal_divisors(a: IntMat) -> list[int]:
+    """gcd of all k-by-k minors for k = 1..min(rows, cols), stopping after
+    the first zero.  Independent route to the invariant factors, used as a
+    cross-check oracle; exponential in k, so small matrices only."""
+    out = []
+    for k in range(1, min(a.rows, a.cols) + 1):
+        g = 0
+        for ri in itertools.combinations(range(a.rows), k):
+            for ci in itertools.combinations(range(a.cols), k):
+                sub = IntMat.from_rows([[a.at(i, j) for j in ci] for i in ri])
+                g = math.gcd(g, sub.det())
+        out.append(g)
+        if g == 0:
+            break
+    return out
 
 
 def test_invariant_factors_match_minor_gcds():

@@ -4,7 +4,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_frobenius import random_spec
+from test_geometry import affine_rank
 
+from toricfsig.geometry import matrix_rank
 from toricfsig.linalg import IntMat
 from toricfsig.rings import (
     FacetFunctional,
@@ -19,6 +22,7 @@ from toricfsig.rings import (
     parse_builtin,
     ring_from_dict,
     ring_to_dict,
+    unit_region_vertices,
     validate,
 )
 
@@ -266,3 +270,60 @@ def test_is_prime():
     assert not is_prime(1)
     assert not is_prime(0)
     assert not is_prime(-7)
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if _is_prime_by_trial_division(n)
+    ]
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2..23
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1)
+    assert not is_prime((2**31 - 1) * (2**32 - 5))
+    assert is_prime(2**64 - 59)  # the largest prime below 2^64
+    with pytest.raises(ValueError, match="below 2\\^64"):
+        is_prime(2**64)
+
+
+def validate_tail_reference(spec):
+    """The flat and redundant-facet verdicts of validate by Fraction
+    elimination: the affine rank of the unit-region vertices, then of those
+    on each facet."""
+    d = spec.dim
+    vertices = unit_region_vertices(spec)
+    if affine_rank(vertices) < d:
+        return ["cone not full-dimensional"]
+    return [
+        f"redundant facet (facet {i})"
+        for i, f in enumerate(spec.facets)
+        if affine_rank([v for v in vertices if f.pairing(v) == 0]) != d - 1
+    ]
+
+
+def test_validate_matches_affine_rank_reference():
+    rng = random.Random(31)
+    kinds = ("plain", "redundant", "flat", "duplicate", "multiple")
+    seen = {"redundant": 0, "flat": 0, "duplicate": 0, "valid": 0}
+    for case in range(1000):
+        spec = random_spec(rng, 1 + case % 4, kinds[case // 4 % len(kinds)])
+        got = validate(spec)
+        if matrix_rank([f.covector for f in spec.facets]) == spec.dim:
+            tail = validate_tail_reference(spec)
+            assert got[len(got) - len(tail):] == tail, (spec, got)
+            assert not any(
+                v in ("cone not full-dimensional", "cone not pointed") or v.startswith("redundant")
+                for v in got[: len(got) - len(tail)]
+            ), (spec, got)
+        seen["redundant"] += any(v.startswith("redundant facet") for v in got)
+        seen["flat"] += "cone not full-dimensional" in got
+        seen["duplicate"] += any(v.startswith("duplicate facet") for v in got)
+        seen["valid"] += not got
+    assert min(seen.values()) >= 20, seen
