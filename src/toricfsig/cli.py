@@ -169,7 +169,9 @@ def cmd_decompose(args) -> int:
         else WeilDivisor((0,) * spec.num_facets)
     )
     ctx = FrobeniusContext(args.p, args.e)
-    dec = decompose(spec, divisor, ctx, detail=args.detail, cap=args.cap)
+    # csv prints only the summands, so it never asks for the coset rows
+    detail = args.detail and args.format != "csv"
+    dec = decompose(spec, divisor, ctx, detail=detail, cap=args.cap)
     items = sorted(dec.summands.items(), key=lambda kv: (kv[0].free, kv[0].torsion))
     out = sys.stdout
     if args.format == "json":
@@ -189,7 +191,7 @@ def cmd_decompose(args) -> int:
                 for c, n in items
             ],
         }
-        if args.detail:
+        if detail:
             # the rows are spliced into the dump of the rest of the document
             # in place of a placeholder; a key line cannot occur in a string
             doc["cosets"] = 0
@@ -197,11 +199,9 @@ def cmd_decompose(args) -> int:
                 '\n  "cosets": 0', 1
             )
             out.write(head + '\n  "cosets": [\n')
-            row = (
-                '    {\n      "divisor": ' + _json_list(spec.num_facets, "%s")
-                + ',\n      "w": ' + _json_list(spec.dim, '"%s"') + "\n    }"
-            )
-            _write_rows(out, dec.detail, row, ",\n", divisor_first=True)
+            w_row = ',\n      "w": ' + _json_list(spec.dim, '"%s"') + "\n    }"
+            d_row = '    {\n      "divisor": ' + _json_list(spec.num_facets, "%s")
+            _write_rows(out, dec.detail, w_row, d_row, ",\n", divisor_first=True)
             out.write("\n  ]" + tail + "\n")
         else:
             print(json.dumps(doc, indent=2, sort_keys=True))
@@ -214,12 +214,10 @@ def cmd_decompose(args) -> int:
         print(f"base divisor: {list(divisor.coeffs)}")
         for c, n in items:
             print(f"  class {_class_label(c)}: {n}")
-        if args.detail:
-            row = (
-                "    w=(" + ", ".join(["%s"] * spec.dim) + ")  divisor=["
-                + ", ".join(["%s"] * spec.num_facets) + "]"
-            )
-            _write_rows(out, dec.detail, row, "\n", divisor_first=False)
+        if detail:
+            w_row = "    w=(" + ", ".join(["%s"] * spec.dim) + ")"
+            d_row = "  divisor=[" + ", ".join(["%s"] * spec.num_facets) + "]"
+            _write_rows(out, dec.detail, w_row, d_row, "\n", divisor_first=False)
             out.write("\n")
     return EXIT_OK
 
@@ -229,18 +227,40 @@ def _json_list(n: int, item: str) -> str:
     return "[\n" + ",\n".join(["        " + item] * n) + "\n      ]"
 
 
-def _write_rows(out, detail, row: str, sep: str, divisor_first: bool) -> None:
-    """Write one ``row % values`` per coset, joined by ``sep``, in blocks."""
+def _write_rows(
+    out, detail, w_row: str, d_row: str, sep: str, divisor_first: bool
+) -> None:
+    """Write one line per coset, ``w_row % w`` and ``d_row % divisor`` in
+    the given order, joined by ``sep``, in blocks.  Each shared divisor and
+    each shared Fraction is formatted once, cached by identity: ``detail``
+    keeps every object, so no id is reused during the write."""
+    texts = {}
     block = 4096
     for start in range(0, len(detail), block):
+        lines = []
+        for w, d in detail[start : start + block]:
+            parts = []
+            for x in w:
+                text = texts.get(id(x))
+                if text is None:
+                    text = texts[id(x)] = str(x)
+                parts.append(text)
+            w_text = w_row % tuple(parts)
+            d_text = texts.get(id(d))
+            if d_text is None:
+                d_text = texts[id(d)] = d_row % d.coeffs
+            lines.append(d_text + w_text if divisor_first else w_text + d_text)
         if start:
             out.write(sep)
-        chunk = detail[start : start + block]
-        if divisor_first:
-            lines = [row % (d.coeffs + w) for w, d in chunk]
-        else:
-            lines = [row % (w + d.coeffs) for w, d in chunk]
         out.write(sep.join(lines))
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def cmd_verify(args) -> int:
@@ -275,8 +295,7 @@ def cmd_verify(args) -> int:
         payload = "\n".join(lines) + "\n"
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _write_file(args.out, payload)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(payload)
@@ -285,8 +304,9 @@ def cmd_verify(args) -> int:
         bad = next(v for v in report.verdicts if not v.inequality_holds)
         spec = next(s for s in rings if s.name == bad.ring)
         bundle_path = (args.out or "report") + ".violation.json"
-        with open(bundle_path, "w", encoding="utf-8") as fh:
-            json.dump(violation_bundle(bad, spec), fh, indent=2, sort_keys=True)
+        _write_file(
+            bundle_path, json.dumps(violation_bundle(bad, spec), indent=2, sort_keys=True)
+        )
         print(
             f"torsion bound VIOLATED for {bad.ring}; reproduction bundle "
             f"written to {bundle_path}",

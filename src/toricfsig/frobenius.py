@@ -8,34 +8,41 @@ integer arithmetic: writing w in lattice coordinates c/q, the coefficient is
 (c . g_i + a_i) // q with g_i the integer facet pairings of the basis.
 
 The coset space has q^d elements and dominates the runtime of the whole
-package, so the int64 counter never visits single cosets.  The base
-divisor is first reduced to 0 <= r < q (a = q*k + r shifts every summand
-by k, hence every class by the class of k).  The coordinate whose column
-of G has the least absolute sum K is then taken innermost: with the other
-d-1 coordinates fixed, each facet floor is a step function of the last one
-with at most |g_i| steps, so a prefix row splits into at most K + 1 runs of
-constant class.  One numpy int64 kernel evaluates the class at each run start and
-tallies it weighted by the run length, for about q^(d-1) * min(q, 1 + K)
-work instead of q^d.  Chunked merging is commutative, so the resulting
-multiset is identical under any partition of the prefix rows.
+package, so both counters evaluate runs of cosets.  The base divisor is
+first reduced to 0 <= r < q (a = q*k + r shifts every summand by k, hence
+every class by the class of k).  With all coordinates but one fixed, each
+facet floor is a step function of the remaining one, t, with at most |g_i|
+steps, so a prefix row splits into at most K + 1 runs of constant summand,
+K being the absolute sum of t's column of G.  Two kernels count those runs,
+and the input picks one:
 
-Per-coset ``detail`` and the rings whose values overflow int64 use one
-vectorised lexicographic grid instead: each block of cosets c gives the
-floors (c.G^T + r) // q + k and the representative numerators c.B over q,
-with one shared Fraction per distinct numerator.  Its dtype is int64 when
-the overflow bound allows and object (Python integers) otherwise; the
-object grid also tallies the classes for those rings.  The box oracle walks
-the same grid over its bounding box, with the same choice of dtype.  numpy
-is imported inside the kernels only, so commands that count nothing never
-load it.
+- ``_count_runs``, numpy int64, serves plain counts whenever
+  ``_coset_values_fit_int64`` holds.  It takes the column with the least K
+  innermost and tallies the class at each run start weighted by the run
+  length, for about q^(d-1) * min(q, 1 + K) work instead of q^d.  Chunked
+  merging is commutative, so the multiset is identical under any partition
+  of the prefix rows.
+- ``_walk_runs``, pure Python integers, serves ``detail`` and the rings
+  whose values overflow int64.  It walks the prefix rows in lexicographic
+  order, the last coordinate innermost, and adds each run's class weighted
+  by its length, taking the class of each floor vector from a bounded
+  cache.  For ``detail`` it
+  lists every coset in order, with one shared summand divisor per floor
+  vector and one shared Fraction per distinct representative numerator.
+
+numpy is imported inside ``_count_runs``, ``_tally_rows``, ``_grid_blocks``
+and ``box_count_oracle`` only, so commands that count nothing, ask for the
+detail or overflow int64 never load it.  The box oracle walks the numpy
+grid of ``_grid_blocks`` over its bounding box.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import os
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,6 +63,7 @@ from .rings import RingSpec, is_prime, pairing_matrix, unit_region_vertices
 CAP_ENV_VAR = "TORICFSIG_CAP"
 DEFAULT_CHUNK = 1 << 19
 _INT64_SAFE = 1 << 62
+_WALK_CACHE = 1 << 16  # floor vectors whose class the run walk keeps
 
 
 def resolve_cap(cap: int | None) -> int:
@@ -129,9 +137,10 @@ def decompose(
     q^d.  With ``detail`` the per-coset pairs (representative, summand
     divisor) are kept, representatives being the lattice basis combinations
     with coefficients in [0, q)^d over q, in lexicographic coefficient
-    order.  ``chunk_size`` bounds the elements of one numpy block (prefix
-    rows times runs per row, or cosets of the grid); it never changes the
-    result.
+    order.  Plain counts that fit int64 run in numpy blocks of at most
+    ``chunk_size`` prefix rows times runs per row; ``detail`` and values past
+    int64 take the pure Python run walk, which has no blocks.  The size
+    never changes the result.
     """
     if len(divisor) != spec.num_facets:
         raise ValueError("divisor length does not match facet count")
@@ -155,15 +164,18 @@ def decompose(
     k = tuple(a // q for a in divisor.coeffs)
     r = tuple(a % q for a in divisor.coeffs)
 
-    if cg.projection.rows == 0:
+    rows = None
+    if cg.projection.rows == 0 and not detail:
         # trivial class group: every summand projects to the empty normal
         # form, so the multiset is forced without enumerating
         summands = {cg.zero(): total}
     else:
-        if _coset_values_fit_int64(q, cg, g):
+        if detail:
+            counts, rows = _walk_runs(r, q, cg, g.to_rows(), (k, spec.lattice.basis))
+        elif _coset_values_fit_int64(q, cg, g):
             counts = _count_runs(r, q, cg, g, chunk_size)
         else:
-            counts = _count_grid(r, q, cg, g, chunk_size)
+            counts, _ = _walk_runs(r, q, cg, g.to_rows())
         shift = class_of(cg, WeilDivisor(k))
         nfree = cg.free_rank
         shifted = [
@@ -171,18 +183,15 @@ def decompose(
             for key, n in counts.items()
         ]
         summands = dict(sorted(shifted, key=lambda kv: (kv[0].free, kv[0].torsion)))
-    rows = _detail_rows(spec, k, r, q, cg, g, chunk_size) if detail else None
     return FrobeniusDecomposition(spec, ctx, divisor, summands, rows)
 
 
-def _coset_values_fit_int64(q, cg, g, basis=None) -> bool:
-    """Whether every intermediate of ``_count_runs`` fits in int64, and
-    given the lattice ``basis`` B also the representative numerators c.B of
-    the detail grid.
+def _coset_values_fit_int64(q, cg, g) -> bool:
+    """Whether every intermediate of ``_count_runs`` fits in int64.
 
     With 0 <= r < q, facet values up to the end t = q of a row and the
     breakpoint numerators all stay below (sum |g_ij| + 2) * q; the floors
-    then stay below 2^61 + 1 and the numerators below q * sum |b_jk|.
+    then stay below 2^61 + 1.
     """
     value_bound = (sum(abs(x) for row in g.to_rows() for x in row) + 2) * q
     floor_bound = value_bound // q + 1
@@ -190,10 +199,7 @@ def _coset_values_fit_int64(q, cg, g, basis=None) -> bool:
         (sum(abs(x) for x in cg.projection.row(i)) for i in range(cg.projection.rows)),
         default=0,
     )
-    reps_bound = 0 if basis is None else q * sum(
-        abs(x) for row in basis.to_rows() for x in row
-    )
-    return q**g.cols < _INT64_SAFE and max(value_bound, reps_bound) < _INT64_SAFE and (
+    return q**g.cols < _INT64_SAFE and value_bound < _INT64_SAFE and (
         floor_bound * max(proj_bound, 1) < _INT64_SAFE
     )
 
@@ -213,55 +219,85 @@ def _grid_blocks(sizes, chunk_size, dtype):
         yield (idx[:, None] // radix) % sizes
 
 
-def _count_grid(r, q, cg, g, chunk_size) -> dict:
-    """The counts of ``_count_runs`` in Python integers, for rings whose
-    values overflow int64: every coset of the grid is evaluated, with the
-    floors and class coordinates held in object arrays."""
-    import numpy as np
+class _Fractions(dict):
+    """n -> Fraction(n, q), made once per distinct numerator."""
 
-    g_t = np.array(g.to_rows(), dtype=object).T
-    a = np.array(r, dtype=object)
-    free_rows, torsion_rows, mods = _projection_split(cg)
-    proj = np.array(free_rows + torsion_rows, dtype=object).T
-    mods_arr = np.array(mods, dtype=object)
-    nfree = len(free_rows)
-    counts = Counter()
-    for c in _grid_blocks((q,) * g.cols, chunk_size, object):
-        coords = ((c @ g_t + a) // q) @ proj
-        if len(mods):
-            coords[:, nfree:] %= mods_arr
-        counts.update(map(tuple, coords.tolist()))
-    return counts
+    def __init__(self, q):
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, n):
+        value = self[n] = Fraction(n, self.q)
+        return value
 
 
-def _detail_rows(spec, k, r, q, cg, g, chunk_size) -> tuple:
-    """Per-coset pairs (representative, summand divisor) for the base
-    divisor q*k + r, over the grid c in [0, q)^d in lexicographic order.
+def _walk_runs(r, q, cg, grows, detail=None):
+    """Class coordinates of the cosets c in [0, q)^d, counted with
+    multiplicity, for a base divisor r with 0 <= r_i < q, in Python
+    integers; with ``detail = (k, basis)`` also the per-coset pairs
+    (representative c.B/q, summand divisor of q*k + r) in lexicographic
+    order of c.
 
-    Each block of at most ``chunk_size`` cosets yields the floors
-    (c.G^T + r) // q + k and the representative numerators c.B over q;
-    every distinct numerator of a block becomes one shared Fraction.
+    The prefix rows c' run in lexicographic order and the last coordinate t
+    innermost.  Facet i takes the value base_i + g_i*t there, and its floor
+    over q moves at no more than |g_i| values of t, found from base_i mod q
+    as in ``_count_runs``; when sum |g_i| + 1 >= q every t is its own run.
+    Each run adds its class once, weighted by its length.  A bounded cache
+    maps each floor vector to its class and, for ``detail``, to the one
+    summand divisor that the runs with those floors share; each distinct
+    numerator gets one shared Fraction.
     """
-    import numpy as np
-
-    basis = spec.lattice.basis
-    dtype = np.int64 if _coset_values_fit_int64(q, cg, g, basis) else object
-    g_t = np.array(g.to_rows(), dtype=dtype).T
-    b = np.array(basis.to_rows(), dtype=dtype)
-    a = np.array(r, dtype=dtype)
-    # floors stay below 2^61 + 1 on the int64 grid, so a shift below 2^62
-    # keeps their sum inside int64
-    small = dtype is np.int64 and all(abs(x) < _INT64_SAFE for x in k)
-    shift = np.array(k, dtype=np.int64 if small else object)
-    rows = []
-    for c in _grid_blocks((q,) * spec.dim, chunk_size, dtype):
-        floors = (c @ g_t + a) // q + shift
-        nums, index = np.unique((c @ b).ravel(), return_inverse=True)
-        reps = np.array([Fraction(n, q) for n in nums.tolist()], dtype=object)
-        reps = reps[index].reshape(c.shape).tolist()
-        divisors = map(WeilDivisor, map(tuple, floors.tolist()))
-        rows.extend(zip(map(tuple, reps), divisors))
-    return tuple(rows)
+    g_in = [row[-1] for row in grows]
+    g_out = [row[:-1] for row in grows]
+    steps = [(i, gi) for i, gi in enumerate(g_in) if gi]
+    dense = sum(abs(gi) for gi in g_in) + 1 >= q
+    if detail is not None:
+        k, basis = detail
+        *b_out, b_in = basis.to_rows()
+        b_out = [[row[j] for row in b_out] for j in range(len(b_in))]
+        fractions = _Fractions(q)
+        rows = []
+    seen, shared = {}, None
+    counts: dict[tuple, int] = {}
+    for prefix in itertools.product(range(q), repeat=len(grows[0]) - 1):
+        base = [sum(map(operator.mul, prefix, go)) + ri for go, ri in zip(g_out, r)]
+        if dense:
+            starts = list(range(q))
+        else:
+            cuts = {0}
+            for i, gi in steps:
+                rem = base[i] % q
+                if gi > 0:
+                    cuts.update((s * q - rem + gi - 1) // gi for s in range(1, gi + 1))
+                else:
+                    cuts.update((rem + s * q) // -gi + 1 for s in range(-gi))
+            starts = sorted(t for t in cuts if t < q)
+        run_divisors = []
+        for t0, t1 in zip(starts, starts[1:] + [q]):
+            floors = tuple([(b + gi * t0) // q for b, gi in zip(base, g_in)])
+            hit = seen.get(floors)
+            if hit is None:
+                if len(seen) >= _WALK_CACHE:
+                    seen.clear()
+                c = class_of(cg, WeilDivisor(floors))
+                if detail is not None:
+                    shared = WeilDivisor(tuple(map(operator.add, floors, k)))
+                hit = seen[floors] = (c.free + c.torsion, shared)
+            key, shared = hit
+            counts[key] = counts.get(key, 0) + t1 - t0
+            if detail is not None:
+                run_divisors += [shared] * (t1 - t0)
+        if detail is not None:
+            columns = []
+            for step, col in zip(b_in, b_out):
+                start = sum(map(operator.mul, prefix, col))
+                if step:
+                    nums = range(start, start + q * step, step)
+                    columns.append(map(fractions.__getitem__, nums))
+                else:
+                    columns.append(itertools.repeat(fractions[start], q))
+            rows.extend(zip(zip(*columns), run_divisors))
+    return counts, (tuple(rows) if detail is not None else None)
 
 
 def _count_runs(r, q, cg, g, chunk_size) -> dict:

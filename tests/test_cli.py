@@ -7,6 +7,7 @@ import sys
 import tempfile
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -302,7 +303,7 @@ def test_main_callable_in_process(capsys):
     assert "Z/2" in out
 
 
-def test_violation_exit_code_and_bundle(tmp_path, monkeypatch, capsys):
+def _falsify_verdicts(monkeypatch):
     # the violated-inequality path is unreachable with correct math, so
     # falsify a verdict to prove the sentinel exit code and bundle wiring
     import toricfsig.cli as cli_mod
@@ -324,6 +325,10 @@ def test_violation_exit_code_and_bundle(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
         cli_mod, "run_corpus", lambda *a, **k: CorpusReport((bad,), ())
     )
+
+
+def test_violation_exit_code_and_bundle(tmp_path, monkeypatch, capsys):
+    _falsify_verdicts(monkeypatch)
     out = tmp_path / "report.json"
     code = main(
         ["verify", "--builtin", "an:2", "-p", "2", "-e", "1",
@@ -335,6 +340,26 @@ def test_violation_exit_code_and_bundle(tmp_path, monkeypatch, capsys):
     bundle = json.loads((tmp_path / "report.json.violation.json").read_text())
     assert bundle["ring_def"]["name"] == "an:2"
     assert bundle["coset_detail"]
+
+
+def test_unwritable_out_exits_2(tmp_path, monkeypatch):
+    # exit 1 is kept for a violated bound, so a report or bundle that cannot
+    # be written is bad input
+    missing = str(tmp_path / "missing" / "r.json")
+    res = run_cli("verify", "--builtin", "an:2", "-e", "1", "--out", missing)
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"error: cannot write {missing}: ")
+    assert "Traceback" not in res.stderr
+    # the report is written, then the bundle path is a directory
+    _falsify_verdicts(monkeypatch)
+    out = tmp_path / "report.json"
+    (tmp_path / "report.json.violation.json").mkdir()
+    code, _, err = _run_in_process(
+        ["verify", "--builtin", "an:2", "-p", "2", "-e", "1", "--out", str(out)]
+    )
+    assert code == 2
+    assert f"error: cannot write {out}.violation.json: " in err
+    assert out.read_text().startswith("an:2 p=2:")
 
 
 def test_csv_verify_format():
@@ -421,12 +446,26 @@ def _run_in_process(argv, env_cap=None):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_classgroup_does_not_load_numpy():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classgroup", "--builtin", "an:3"],
+        ["decompose", "--builtin", "quadric", "-p", "2", "-e", "2", "--detail",
+         "--format", "json"],
+        ["decompose", "--builtin", "quadric", "-p", "2", "-e", "2", "--detail",
+         "--format", "text"],
+        ["decompose", "--builtin", f"an:{2**62}", "-p", "3"],
+    ],
+    ids=["classgroup", "detail-json", "detail-text", "big-int"],
+)
+def test_command_does_not_load_numpy(argv):
+    # the per-coset detail and the rings past int64 are served by the pure
+    # Python run walk; only the int64 counter and the box oracle use numpy
     code = (
         "import sys, contextlib, io\n"
         "import toricfsig.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    rc = toricfsig.cli.main(['classgroup', '--builtin', 'an:3'])\n"
+        f"    rc = toricfsig.cli.main({argv!r})\n"
         "print(rc, 'numpy' in sys.modules)\n"
     )
     env = dict(os.environ)
@@ -572,3 +611,24 @@ def test_option_values_exit_0_2_or_3_without_traceback(case):
     code, _, err = _run_in_process(argv, env_cap)
     assert code in (0, 2, 3), (argv, env_cap, err)
     assert "Traceback" not in err
+
+
+def test_detail_csv_builds_no_rows(monkeypatch):
+    # csv prints only class,multiplicity, so --detail must not ask for rows
+    import toricfsig.cli as cli_mod
+
+    calls = []
+    real = cli_mod.decompose
+    monkeypatch.setattr(
+        cli_mod, "decompose",
+        lambda *a, **k: calls.append(k["detail"]) or real(*a, **k),
+    )
+    argv = ["decompose", "--builtin", "quadric", "-p", "3", "-e", "2",
+            "--divisor=5,-7,100000000000000000000000,0", "--format", "csv"]
+    plain = _run_in_process(argv)
+    detail = _run_in_process(argv + ["--detail"])
+    assert detail == plain and plain[0] == 0
+    assert calls == [False, False]
+    for fmt in ("json", "text"):
+        assert _run_in_process(argv[:-1] + [fmt, "--detail"])[0] == 0
+    assert calls == [False, False, True, True]

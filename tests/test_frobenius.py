@@ -441,7 +441,7 @@ def test_large_divisor_stays_off_the_big_int_path(monkeypatch):
     ctx = FrobeniusContext(2, 6)
     cg = class_group(spec)
     r = decompose(spec, WeilDivisor((10**20 % 64, 0, 0, 0)), ctx)
-    monkeypatch.setattr(frobenius, "_count_grid", refuse)
+    monkeypatch.setattr(frobenius, "_walk_runs", refuse)
     dec = decompose(spec, WeilDivisor((10**20, 0, 0, 0)), ctx)
     assert sum(dec.summands.values()) == ctx.q**3
     shift = class_of(cg, WeilDivisor((10**20 // 64, 0, 0, 0)))
@@ -449,18 +449,29 @@ def test_large_divisor_stays_off_the_big_int_path(monkeypatch):
 
 
 def test_overflowing_pairings_use_the_big_int_path(monkeypatch):
-    # G has an entry 2^62, so G*(q-1) leaves int64 and the object-dtype
-    # grid counts
+    # G has an entry 2^62, so G*(q-1) leaves int64 and the run walk counts
+    # in Python integers
     spec = parse_builtin(f"an:{2**62}")
-    ctx = FrobeniusContext(3, 1)
-    expected, _ = decompose_reference(spec, WeilDivisor((1, -2)), ctx.q)
     calls = []
-    grid = frobenius._count_grid
+    walk = frobenius._walk_runs
     monkeypatch.setattr(
-        frobenius, "_count_grid", lambda *a, **k: calls.append(1) or grid(*a, **k)
+        frobenius, "_walk_runs", lambda *a, **k: calls.append(1) or walk(*a, **k)
     )
-    assert decompose(spec, WeilDivisor((1, -2)), ctx).summands == expected
-    assert calls == [1]
+    for ctx in (FrobeniusContext(3, 1), FrobeniusContext(3, 2), FrobeniusContext(5, 2)):
+        for divisor in (WeilDivisor((1, -2)), WeilDivisor((-(2**70), 3**50))):
+            expected, _ = decompose_reference(spec, divisor, ctx.q)
+            assert decompose(spec, divisor, ctx).summands == expected
+    assert calls == [1] * 6
+
+
+def test_walk_cache_bound_keeps_results(monkeypatch):
+    # a cache of one floor vector is cleared at almost every run
+    monkeypatch.setattr(frobenius, "_WALK_CACHE", 1)
+    cases = (("quadric", FrobeniusContext(2, 3)), ("an:5", FrobeniusContext(3, 2)))
+    for token, ctx in cases:
+        spec = parse_builtin(token)
+        divisor = WeilDivisor(tuple(5 - 4 * i for i in range(spec.num_facets)))
+        _detail_vs_reference(spec, divisor, ctx)
 
 
 DETAIL_RINGS = ["poly:2", "quadric", "an:3", "an:6", "veronese:2", "veronese:5"]
@@ -523,12 +534,10 @@ def test_detail_blocks_smaller_than_a_row():
 
 
 def test_detail_on_the_object_grid():
-    # an:2^62 overflows int64 in G and in the basis, so the floors and the
+    # an:2^62 overflows int64 in G and in the basis; the walk's floors and
     # representative numerators are Python integers
     spec = parse_builtin(f"an:{2**62}")
-    assert not frobenius._coset_values_fit_int64(
-        3, class_group(spec), pairing_matrix(spec), spec.lattice.basis
-    )
+    assert not frobenius._coset_values_fit_int64(3, class_group(spec), pairing_matrix(spec))
     for coeffs in ((0, 0), (1, -2), (-(10**25), 7)):
         divisor = WeilDivisor(coeffs)
         for ctx in (FrobeniusContext(2, 1), FrobeniusContext(3, 1)):
@@ -701,3 +710,44 @@ def test_box_count_blocks_smaller_than_a_row(monkeypatch):
         for chunk in (1, 3, 5):
             monkeypatch.setattr(frobenius, "DEFAULT_CHUNK", chunk)
             assert box_count_oracle(spec, ctx) == want, (token, chunk)
+
+
+# q -> (p, e) for the prime powers below 30
+PRIME_POWERS = {
+    2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2),
+    11: (11, 1), 13: (13, 1), 16: (2, 4), 17: (17, 1), 19: (19, 1), 23: (23, 1),
+    25: (5, 2), 27: (3, 3), 29: (29, 1),
+}
+
+
+def test_walk_matches_reference_on_random_rings():
+    # valid random rings in d = 2..4: three with non-cyclic torsion and
+    # six more whose last column of G, the axis the detail walk splits at
+    # its breakpoints, has mixed signs; at a sparse q (K + 1 < q, K that
+    # column's absolute sum) and a dense one
+    rng = random.Random(43)
+    want = {"noncyclic": 3, "mixed": 6}
+    dims = set()
+    while any(want.values()):
+        d = rng.randint(2, 4)
+        spec = random_spec(rng, d)
+        if validate(spec):
+            continue
+        last = [row[-1] for row in pairing_matrix(spec).to_rows()]
+        kind = "noncyclic" if len(class_group(spec).invariant_factors) > 1 else (
+            "mixed" if min(last) < 0 < max(last) else None
+        )
+        kk = sum(map(abs, last))
+        sparse = min(q for q in PRIME_POWERS if q > kk + 1)
+        if not want.get(kind) or sparse**d > 2500:
+            continue
+        want[kind] -= 1
+        dims.add(d)
+        for q in (max(q for q in PRIME_POWERS if q <= kk + 1), sparse):
+            # coefficients of either sign, small and past 2^63
+            divisor = WeilDivisor(tuple(
+                rng.choice((1, -1)) * (rng.choice((0, 2**63)) + rng.randrange(3 * q))
+                for _ in range(spec.num_facets)
+            ))
+            _detail_vs_reference(spec, divisor, FrobeniusContext(*PRIME_POWERS[q]))
+    assert dims == {2, 3, 4}
