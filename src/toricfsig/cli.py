@@ -16,7 +16,7 @@ import json
 import sys
 
 from .divisors import CapExceededError, WeilDivisor, class_group
-from .frobenius import FrobeniusContext, decompose
+from .frobenius import FrobeniusContext, decompose, resolve_cap
 from .fsignature import (
     convergence_report,
     exact_signature_volume,
@@ -375,6 +375,9 @@ def main(argv=None) -> int:
     if args.command == "verify" and not (args.corpus or args.builtin or args.ring):
         parser.error("verify needs --corpus, --builtin or --ring")
     try:
+        if "cap" in vars(args):
+            # resolved once, so that a bad cap is one error before any work
+            args.cap = resolve_cap(args.cap)
         return args.func(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

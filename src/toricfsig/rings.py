@@ -292,6 +292,8 @@ def parse_builtin(token: str) -> RingSpec:
     else:
         params = ()
     if family == "quadric_cone":
+        if params:
+            raise ValueError(f"builtin ring {token!r} takes no parameters")
         return builtin_ring(family)
     if len(params) != 1:
         raise ValueError(f"builtin ring {token!r} needs exactly one parameter")

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -144,9 +145,33 @@ def test_env_var_cap(tmp_path):
     assert "TORICFSIG_CAP" in res.stderr
 
 
+def test_bad_cap_exits_2():
+    # a negative cap is bad input, not an overrun; a cap of 0 is valid
+    argv = ["decompose", "--builtin", "an:3", "-p", "2", "-e", "2"]
+    for extra, env_cap, name in (
+        (["--cap", "-5"], None, "--cap"),
+        (["--cap", "-1"], "100", "--cap"),
+        ([], "-1", "TORICFSIG_CAP"),
+        ([], "abc", "TORICFSIG_CAP"),
+    ):
+        code, out, err = _run_in_process(argv + extra, env_cap)
+        assert (code, out) == (2, ""), (extra, env_cap)
+        assert err.startswith(f"error: {name} must be"), err
+    assert _run_in_process(argv, "abc")[2] == (
+        "error: TORICFSIG_CAP must be an integer, got 'abc'\n"
+    )
+    code, out, err = _run_in_process(["verify", "--builtin", "an:3", "-e", "2", "--cap", "-2"])
+    assert (code, out, err) == (2, "", "error: --cap must be at least 0, got -2\n")
+    code, _, err = _run_in_process(argv + ["--cap", "0"])
+    assert code == 3 and "over the cap of 0" in err
+
+
 def test_unknown_builtin_exits_2():
     res = run_cli("classgroup", "--builtin", "nope:1")
     assert res.returncode == 2
+    res = run_cli("classgroup", "--builtin", "quadric:3")
+    assert res.returncode == 2
+    assert res.stderr == "error: builtin ring 'quadric:3' takes no parameters\n"
 
 
 def test_non_prime_characteristic_exits_2():
@@ -446,21 +471,9 @@ def _run_in_process(argv, env_cap=None):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["classgroup", "--builtin", "an:3"],
-        ["decompose", "--builtin", "quadric", "-p", "2", "-e", "2", "--detail",
-         "--format", "json"],
-        ["decompose", "--builtin", "quadric", "-p", "2", "-e", "2", "--detail",
-         "--format", "text"],
-        ["decompose", "--builtin", f"an:{2**62}", "-p", "3"],
-    ],
-    ids=["classgroup", "detail-json", "detail-text", "big-int"],
-)
-def test_command_does_not_load_numpy(argv):
-    # the per-coset detail and the rings past int64 are served by the pure
-    # Python run walk; only the int64 counter and the box oracle use numpy
+def _numpy_after(argv):
+    """Exit code of ``main(argv)`` in a fresh interpreter, and whether
+    numpy was loaded by then, as printed words."""
     code = (
         "import sys, contextlib, io\n"
         "import toricfsig.cli\n"
@@ -470,9 +483,55 @@ def test_command_does_not_load_numpy(argv):
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = PKG_ROOT + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("TORICFSIG_CAP", None)
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env)
-    assert res.stdout.split() == ["0", "False"], res.stderr
+    return res.stdout.split(), res.stderr
+
+
+RING_FILE = "<random ring file>"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classgroup", "--builtin", "an:3"],
+        ["decompose", "--builtin", "quadric", "-p", "2", "-e", "2", "--detail",
+         "--format", "json"],
+        ["decompose", "--builtin", "quadric", "-p", "2", "-e", "2", "--detail",
+         "--format", "text"],
+        ["decompose", "--builtin", f"an:{2**62}", "-p", "3"],
+        ["verify", "--builtin", "quadric", "-p", "2", "-e", "4"],
+        ["fsig", "--builtin", "veronese:8", "-p", "3", "-e", "2"],
+        ["decompose", "--builtin", "quadric", "-p", "7", "-e", "2",
+         f"--divisor={10**25 + 3},-{10**25},7,{2 * 10**25}"],
+        ["verify", "--ring", RING_FILE, "-p", "2,3", "-e", "2"],
+    ],
+    ids=["classgroup", "detail-json", "detail-text", "big-int", "small-verify",
+         "small-fsig", "small-decompose", "random-ring-verify"],
+)
+def test_command_does_not_load_numpy(argv, tmp_path):
+    # the per-coset detail, the rings past int64 and every plain count of at
+    # most 2^15 runs are served by the pure Python run walk
+    if RING_FILE in argv:
+        from test_frobenius import random_spec
+        from toricfsig.rings import ring_to_dict, validate
+
+        rng = random.Random(11)
+        spec = random_spec(rng, 3)
+        while validate(spec):
+            spec = random_spec(rng, 3)
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(ring_to_dict(spec)))
+        argv = [str(path) if a == RING_FILE else a for a in argv]
+    words, err = _numpy_after(argv)
+    assert words == ["0", "False"], err
+
+
+def test_large_plain_count_loads_numpy():
+    # the quadric at q = 128 has 128^2 * 3 runs, past 2^15: numpy counts it
+    words, err = _numpy_after(["decompose", "--builtin", "quadric", "-p", "2", "-e", "7"])
+    assert words == ["0", "True"], err
 
 
 def test_huge_e_is_refused_before_q_is_formed():

@@ -3,10 +3,15 @@ import math
 import random
 from fractions import Fraction as F
 
+# numpy is loaded before any count, so that every in-process plain count
+# whose values fit int64 takes _count_runs whatever the order of the tests;
+# the walk's plain counts are compared with it by calling both kernels
+import numpy as np
 import pytest
 
 from toricfsig.divisors import (
     CapExceededError,
+    ClassElement,
     WeilDivisor,
     class_group,
     class_of,
@@ -650,8 +655,6 @@ def box_count_reference(spec, q):
 
 def _box_vs_reference(spec, ctx, monkeypatch):
     """The oracle equals the reference, on the dtype the old bound picks."""
-    import numpy as np
-
     dtypes = []
     blocks = frobenius._grid_blocks
     monkeypatch.setattr(
@@ -751,3 +754,62 @@ def test_walk_matches_reference_on_random_rings():
             ))
             _detail_vs_reference(spec, divisor, FrobeniusContext(*PRIME_POWERS[q]))
     assert dims == {2, 3, 4}
+
+
+def _kernel_summands(spec, divisor, q):
+    """The summands of D = q*k + r from each plain-count kernel on r: the
+    int64 ``_count_runs`` in blocks of 64 and the walk, which takes the
+    least-K column innermost; both shifted by the class of k."""
+    cg = class_group(spec)
+    g = pairing_matrix(spec)
+    shift = class_of(cg, WeilDivisor(tuple(a // q for a in divisor.coeffs)))
+    r = tuple(a % q for a in divisor.coeffs)
+    nfree = cg.free_rank
+    return [
+        {cg.add(ClassElement(key[:nfree], key[nfree:]), shift): n for key, n in counts.items()}
+        for counts in (
+            frobenius._count_runs(r, q, cg, g, 64),
+            frobenius._walk_runs(r, q, cg, g.to_rows())[0],
+        )
+    ]
+
+
+def test_plain_walk_matches_count_runs_on_random_rings():
+    # valid random rings in d = 2..5 with a nontrivial class group, some of
+    # free rank > 0 and some with non-cyclic torsion, at a dense q (K + 1 >=
+    # q, K the least absolute column sum of G) and a sparse one, with
+    # coefficients of both signs; the least-K column is not the last one
+    # in some of them, so the walk really reorders
+    rng = random.Random(59)
+    want = {(2, "plain"): 2, (3, "plain"): 1, (3, "free"): 1, (3, "noncyclic"): 1,
+            (4, "free"): 1, (4, "noncyclic"): 1, (5, "plain"): 1}
+    moved = 0
+    while any(want.values()):
+        d = rng.choice([d for (d, _), n in want.items() if n])
+        spec = random_spec(rng, d)
+        grows = pairing_matrix(spec).to_rows()
+        inner = frobenius._inner_column(grows)
+        kk = sum(abs(row[inner]) for row in grows)
+        sparse = min(q for q in PRIME_POWERS if q > kk + 1)
+        if not kk or sparse**d > 3125 or validate(spec):
+            continue
+        cg = class_group(spec)
+        if not cg.projection.rows:
+            continue  # decompose never counts a trivial class group
+        kind = "free" if cg.free_rank else (
+            "noncyclic" if len(cg.invariant_factors) > 1 else "plain"
+        )
+        if not want.get((d, kind)):
+            continue
+        want[d, kind] -= 1
+        moved += inner != d - 1
+        for q in (max(q for q in PRIME_POWERS if q <= kk + 1), sparse):
+            divisor = WeilDivisor(tuple(
+                rng.choice((1, -1)) * (rng.choice((0, 2**63)) + rng.randrange(3 * q))
+                for _ in range(spec.num_facets)
+            ))
+            expected, _ = decompose_reference(spec, divisor, q)
+            runs, walk = _kernel_summands(spec, divisor, q)
+            assert runs == expected, (spec, divisor, q)
+            assert walk == expected, (spec, divisor, q)
+    assert moved >= 3

@@ -165,6 +165,9 @@ def test_builtin_param_errors():
         parse_builtin("an")
     with pytest.raises(ValueError):
         parse_builtin("an:x")
+    for token in ("quadric:3", "quadric:0", "quadric_cone:1,2"):
+        with pytest.raises(ValueError, match="takes no parameters"):
+            parse_builtin(token)
 
 
 def test_parse_builtin_aliases():
