@@ -264,9 +264,18 @@ def _write_file(path: str, text: str) -> None:
 
 
 def cmd_verify(args) -> int:
-    ps = [int(x) for x in args.primes.split(",") if x]
+    try:
+        ps = [int(x) for x in args.primes.split(",") if x]
+    except ValueError:
+        raise ValueError(
+            f"bad -p {args.primes!r}; expected comma-separated primes"
+        ) from None
     if not ps:
         raise ValueError(f"no primes in -p {args.primes!r}")
+    if args.e_max < 1:
+        raise ValueError(f"-e must be at least 1, got {args.e_max}")
+    if args.q_max < 2:
+        raise ValueError(f"--q-max must be at least 2, got {args.q_max}")
     if args.corpus:
         rings = default_corpus()
     else:

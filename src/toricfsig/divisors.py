@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import IntMat, smith_normal_form
+from .record import Record
 from .rings import RingSpec, pairing_matrix
 
 ENUMERATION_CAP = 2**24
+# rings whose class group stays cached: a CLI command sees at most the 14
+# rings of verify --corpus, and the whole test suite about 220
+_CLASS_GROUP_CACHE = 512
 
 
 class CapExceededError(RuntimeError):
@@ -26,12 +29,12 @@ class CapExceededError(RuntimeError):
     --cap flag or the TORICFSIG_CAP environment variable."""
 
 
-@dataclass(frozen=True)
-class WeilDivisor:
+class WeilDivisor(Record):
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+    def __init__(self, coeffs):
+        # made by the thousand: skips Record's generic argument binding
+        object.__setattr__(self, "coeffs", tuple(map(int, coeffs)))
 
     def __len__(self):
         return len(self.coeffs)
@@ -53,21 +56,24 @@ class WeilDivisor:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class ClassElement:
+class ClassElement(Record):
     """Class-group element in normal form: free coordinates over Z followed
     by torsion residues reduced into [0, d_i)."""
 
     free: tuple[int, ...]
     torsion: tuple[int, ...]
 
+    def __init__(self, free: tuple[int, ...], torsion: tuple[int, ...]):
+        # made by the thousand: skips Record's generic argument binding
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "torsion", torsion)
+
     @property
     def is_zero(self) -> bool:
         return not any(self.free) and not any(self.torsion)
 
 
-@dataclass(frozen=True)
-class ClassGroupData:
+class ClassGroupData(Record):
     """Cl(R) = Z^free_rank + sum of Z/d_i, with the projection matrix taking
     a divisor coefficient vector to its normal-form coordinates (free rows
     first, then one row per invariant factor)."""
@@ -111,7 +117,7 @@ def principal_divisor(spec: RingSpec, u) -> WeilDivisor:
     return WeilDivisor(tuple(int(f.pairing(u)) for f in spec.facets))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CLASS_GROUP_CACHE)
 def class_group(spec: RingSpec) -> ClassGroupData:
     """Divisor classes modulo principal divisors, via the Smith normal form
     of the pairing matrix.

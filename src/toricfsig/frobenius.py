@@ -37,12 +37,17 @@ walk.  The constant weighs the numpy import, about 55-65 ms of a fresh
 process on a 2-core x86-64 host with Python 3.11 and numpy 2.4, against
 the walk's rate of about 440,000 runs per second there: the walk counts
 about 2^15 runs in the time of the import, and the whole command is faster
-on the walk below it.
+on the walk below it.  Once numpy is loaded every plain count that fits
+int64 takes it, so callers with several counts, ``run_corpus`` and
+``signature_sequence``, call ``choose_kernel`` with their largest counts
+first: it applies the same rule to them and imports numpy up front when
+one will need it, so that the smaller counts before it do not walk.
 
-numpy is imported inside ``_count_runs``, ``_tally_rows``, ``_grid_blocks``
-and ``box_count_oracle`` only, so commands that count nothing, count few
-runs, ask for the detail or overflow int64 never load it.  The box oracle
-walks the numpy grid of ``_grid_blocks`` over its bounding box.
+numpy is imported inside ``choose_kernel``, ``_count_runs``,
+``_tally_rows``, ``_grid_blocks`` and ``box_count_oracle`` only, so
+commands that count nothing, count few runs, ask for the detail or
+overflow int64 never load it.  The box oracle walks the numpy grid of
+``_grid_blocks`` over its bounding box.
 """
 
 from __future__ import annotations
@@ -53,11 +58,11 @@ import operator
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import solve_square
 from .linalg import IntMat
+from .record import Record
 from .divisors import (
     ENUMERATION_CAP,
     CapExceededError,
@@ -95,8 +100,7 @@ def resolve_cap(cap: int | None) -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class FrobeniusContext:
+class FrobeniusContext(Record):
     """Characteristic p, iteration count e, and q = p^e."""
 
     p: int
@@ -113,8 +117,7 @@ class FrobeniusContext:
         return self.p**self.e
 
 
-@dataclass(frozen=True)
-class FrobeniusDecomposition:
+class FrobeniusDecomposition(Record):
     spec: RingSpec
     ctx: FrobeniusContext
     base_divisor: WeilDivisor
@@ -208,6 +211,49 @@ def decompose(
         ]
         summands = dict(sorted(shifted, key=lambda kv: (kv[0].free, kv[0].torsion)))
     return FrobeniusDecomposition(spec, ctx, divisor, summands, rows)
+
+
+def choose_kernel(
+    spec: RingSpec,
+    p: int,
+    e_max: int,
+    q_max: int | None = None,
+    cap: int | None = None,
+) -> None:
+    """Import numpy now if the largest plain count of ``spec`` at q = p^e,
+    e = 1..e_max, q <= ``q_max`` and q^d within the cap, will need it.
+
+    ``decompose`` chooses its kernel per call, and once numpy is loaded
+    every plain count that fits int64 takes ``_count_runs``.  A caller that
+    asks here about its largest counts before its first count thus counts
+    on one kernel throughout, where choosing per call would walk its small
+    counts and then pay the import for a large one anyway.  A count that
+    ``decompose`` would refuse decides nothing, and neither does a loaded
+    numpy, so this costs no class-group lookup unless a count is large.
+    """
+    if "numpy" in sys.modules:
+        return
+    try:
+        if not is_prime(p):
+            return
+        cap = resolve_cap(cap)
+        d = spec.dim
+        q = None
+        for e in range(1, e_max + 1):
+            # e*d first, so that p^(e*d) is formed only when it may fit
+            if e * d > cap.bit_length() or p ** (e * d) > cap or (
+                q_max is not None and p**e > q_max
+            ):
+                break
+            q = p**e
+        g = pairing_matrix(spec)
+        if q is None or not g.rows or _run_count(q, g.to_rows()) <= _NUMPY_RUNS:
+            return
+        cg = class_group(spec)
+    except ValueError:
+        return
+    if cg.projection.rows and _coset_values_fit_int64(q, cg, g):
+        import numpy  # noqa: F401
 
 
 def _inner_column(grows) -> int:

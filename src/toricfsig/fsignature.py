@@ -11,26 +11,30 @@ determinantal rings, both computed in exact rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .divisors import WeilDivisor, class_group, class_of
-from .frobenius import FrobeniusContext, decompose, free_rank, multiplicity_of
+from .frobenius import (
+    FrobeniusContext,
+    choose_kernel,
+    decompose,
+    free_rank,
+    multiplicity_of,
+)
 from .geometry import matrix_rank, polytope_volume
+from .record import Record
 from .rings import RingSpec, unit_region_halfspaces
 
 VOLUME_DIM_LIMIT = 4
 
 
-@dataclass(frozen=True)
-class FSignatureEstimate:
+class FSignatureEstimate(Record):
     ctx: FrobeniusContext
     a_e: int
     s_e: Fraction
 
 
-@dataclass(frozen=True)
-class ExactFSignature:
+class ExactFSignature(Record):
     value: Fraction
     method: str  # "polytope_volume" or "singh_formula"
 
@@ -52,6 +56,7 @@ def signature_sequence(
         raise ValueError("e_max must be at least 1")
     cg = class_group(spec)
     target = None if divisor is None else class_of(cg, divisor)
+    choose_kernel(spec, p, e_max, cap=cap)
     out = []
     for e in range(1, e_max + 1):
         ctx = FrobeniusContext(p, e)
@@ -93,8 +98,7 @@ def singh_determinantal_signature(s: int, d: int) -> ExactFSignature:
     )
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(Record):
     e: int
     q: int
     s_e: Fraction
@@ -103,8 +107,7 @@ class ConvergenceRow:
     within_envelope: bool | None
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Record):
     rows: tuple[ConvergenceRow, ...]
 
     @property

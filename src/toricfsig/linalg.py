@@ -9,24 +9,25 @@ ties broken by row index then column index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 
-@dataclass(frozen=True)
-class IntMat:
+class IntMat(Record):
     """Immutable integer matrix, entries stored row-major."""
 
     rows: int
     cols: int
     entries: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
+        # made by the thousand: skips Record's generic argument binding
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows) -> "IntMat":
@@ -112,8 +113,7 @@ class IntMat:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """Certificate (U, S, V) with U*A*V = S, U and V unimodular, S diagonal
     with nonnegative entries in a divisibility chain, zeros trailing."""
 

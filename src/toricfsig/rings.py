@@ -13,18 +13,17 @@ to the Frobenius machinery, never part of the ring identity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from .geometry import dot, enumerate_vertices, matrix_rank, solve_square, vertex_incidence
 from .linalg import IntMat, hermite_normal_form
+from .record import Record
 
 
 class RingFormatError(ValueError):
     """Raised when a ring definition document cannot be parsed."""
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """Full-rank sublattice of Z^d, rows of ``basis`` are the generators."""
 
     basis: IntMat
@@ -55,8 +54,7 @@ class Lattice:
         )
 
 
-@dataclass(frozen=True)
-class FacetFunctional:
+class FacetFunctional(Record):
     """Rational covector cutting out one facet of the cone; integer-valued
     and primitive on the lattice for valid specs."""
 
@@ -68,13 +66,12 @@ class FacetFunctional:
         return dot(self.covector, u)
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(Record, compare=("name", "lattice", "facets")):
     name: str
     lattice: Lattice
     facets: tuple[FacetFunctional, ...]
-    family: str | None = field(default=None, compare=False)
-    params: tuple[int, ...] = field(default=(), compare=False)
+    family: str | None = None
+    params: tuple[int, ...] = ()
 
     @property
     def dim(self) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .divisors import (
@@ -27,6 +26,7 @@ from .divisors import (
 )
 from .frobenius import (
     FrobeniusContext,
+    choose_kernel,
     decompose,
     free_rank,
     multiplicity_of,
@@ -34,11 +34,11 @@ from .frobenius import (
     simultaneous_torsion_count,
 )
 from .fsignature import exact_signature_volume
+from .record import Record
 from .rings import RingSpec, builtin_ring, ring_to_dict
 
 
-@dataclass(frozen=True)
-class WitnessRow:
+class WitnessRow(Record):
     e: int
     q: int
     a_e: int
@@ -47,8 +47,7 @@ class WitnessRow:
     rank: int
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(Record):
     ring: str
     p: int
     torsion_cardinality: int
@@ -103,16 +102,14 @@ def verify_ring(
     )
 
 
-@dataclass(frozen=True)
-class ClassConvergenceRow:
+class ClassConvergenceRow(Record):
     torsion_coords: tuple[int, ...]
     first_e_with_summand: int | None
     terms: tuple[tuple[int, int, int, Fraction], ...]  # (e, q, count, ratio)
     final_deviation: Fraction | None
 
 
-@dataclass(frozen=True)
-class ClassConvergenceTable:
+class ClassConvergenceTable(Record):
     ring: str
     p: int
     exact_signature: Fraction
@@ -167,16 +164,14 @@ def default_corpus() -> list[RingSpec]:
     return sorted(specs, key=lambda s: s.name)
 
 
-@dataclass(frozen=True)
-class CorpusError:
+class CorpusError(Record):
     ring: str
     p: int
     kind: str  # "cap" or "error"
     message: str
 
 
-@dataclass(frozen=True)
-class CorpusReport:
+class CorpusReport(Record):
     verdicts: tuple[TheoremVerdict, ...]
     errors: tuple[CorpusError, ...]
 
@@ -197,10 +192,14 @@ def run_corpus(
     cap: int | None = None,
 ) -> CorpusReport:
     """verify_ring over a parameter grid; per-ring failures are collected
-    and the sweep continues."""
+    and the sweep continues.  The counting kernel is chosen once, from the
+    largest count of every ring, before the first count."""
     if rings is None:
         rings = default_corpus()
     rings = sorted(rings, key=lambda s: s.name)
+    for spec in rings:
+        for p in ps:
+            choose_kernel(spec, p, e_max, q_max=q_max, cap=cap)
     verdicts = []
     errors = []
     for spec in rings:

@@ -471,22 +471,33 @@ def _run_in_process(argv, env_cap=None):
     return code, out.getvalue(), err.getvalue()
 
 
-def _numpy_after(argv):
-    """Exit code of ``main(argv)`` in a fresh interpreter, and whether
-    numpy was loaded by then, as printed words."""
+def _fresh(body):
+    """Run ``body`` in a fresh interpreter: the JSON value it leaves in
+    ``result``, the modules it loaded, and its stderr."""
     code = (
-        "import sys, contextlib, io\n"
-        "import toricfsig.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    rc = toricfsig.cli.main({argv!r})\n"
-        "print(rc, 'numpy' in sys.modules)\n"
+        "import sys, contextlib, io, json\n"
+        "before = set(sys.modules)\n"
+        "result = None\n"
+        f"{body}\n"
+        "print(json.dumps([result, sorted(set(sys.modules) - before)]))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = PKG_ROOT + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("TORICFSIG_CAP", None)
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env)
-    return res.stdout.split(), res.stderr
+    result, modules = json.loads(res.stdout) if res.returncode == 0 else (None, ())
+    return result, set(modules), res.stderr
+
+
+def _main_loads(argv):
+    """Exit code of ``main(argv)`` in a fresh interpreter, the modules that
+    importing the CLI and running it loaded, and stderr."""
+    return _fresh(
+        "import toricfsig.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    result = toricfsig.cli.main({argv!r})"
+    )
 
 
 RING_FILE = "<random ring file>"
@@ -524,14 +535,60 @@ def test_command_does_not_load_numpy(argv, tmp_path):
         path = tmp_path / "ring.json"
         path.write_text(json.dumps(ring_to_dict(spec)))
         argv = [str(path) if a == RING_FILE else a for a in argv]
-    words, err = _numpy_after(argv)
-    assert words == ["0", "False"], err
+    rc, modules, err = _main_loads(argv)
+    assert rc == 0, err
+    assert "numpy" not in modules
 
 
 def test_large_plain_count_loads_numpy():
     # the quadric at q = 128 has 128^2 * 3 runs, past 2^15: numpy counts it
-    words, err = _numpy_after(["decompose", "--builtin", "quadric", "-p", "2", "-e", "7"])
-    assert words == ["0", "True"], err
+    rc, modules, err = _main_loads(["decompose", "--builtin", "quadric", "-p", "2", "-e", "7"])
+    assert rc == 0, err
+    assert "numpy" in modules
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["import toricfsig.cli",
+     "import toricfsig.cli\n"
+     "with contextlib.redirect_stdout(io.StringIO()):\n"
+     "    result = toricfsig.cli.main(['classgroup', '--builtin', 'an:3'])"],
+    ids=["import", "classgroup"],
+)
+def test_start_up_loads_no_dataclasses_or_inspect(body):
+    # every command is a fresh process; the records are built without
+    # dataclasses, whose import pulls in inspect, ast, dis and tokenize
+    result, modules, err = _fresh(body)
+    assert result in (None, 0), err
+    assert "toricfsig.cli" in modules
+    assert not modules & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+@pytest.mark.parametrize(
+    "call",
+    ["run_corpus([2], 7, rings=[parse_builtin('quadric'), parse_builtin('an:3')],"
+     " q_max=None).ok",
+     "len(signature_sequence(parse_builtin('quadric'), 2, 7))"],
+    ids=["run_corpus", "signature_sequence"],
+)
+def test_kernel_is_chosen_once_from_the_largest_count(call):
+    # the largest count, the quadric at q = 128 (49,152 runs), needs numpy,
+    # so the smaller counts before it, an:3 first, take numpy as well
+    result, modules, err = _fresh(
+        "import toricfsig.frobenius as fr\n"
+        "from toricfsig.fsignature import signature_sequence\n"
+        "from toricfsig.rings import parse_builtin\n"
+        "from toricfsig.verify import run_corpus\n"
+        "walks = []\n"
+        "real = fr._walk_runs\n"
+        "fr._walk_runs = lambda *a: walks.append(a[1]) or real(*a)\n"
+        f"result = [{call}, walks]"
+    )
+    assert result is not None, err
+    done, walks = result
+    assert done
+    assert walks == []
+    assert "numpy" in modules
 
 
 def test_huge_e_is_refused_before_q_is_formed():
@@ -550,6 +607,22 @@ def test_huge_e_is_refused_before_q_is_formed():
         ["decompose", "--builtin", "an:3", "-p", "3", "-e", str(10**6)]
     )
     assert code == 3 and "(3^1000000)^2" in err
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [(["-e", "0"], "-e must be at least 1, got 0"),
+     (["-e", "-3"], "-e must be at least 1, got -3"),
+     (["--q-max", "-5"], "--q-max must be at least 2, got -5"),
+     (["--q-max", "1"], "--q-max must be at least 2, got 1"),
+     (["-p", "2,x"], "bad -p '2,x'")],
+    ids=["e-zero", "e-negative", "q-max-negative", "q-max-one", "p-not-integer"],
+)
+def test_verify_empty_witness_range_or_bad_prime_exits_2(args, message):
+    code, out, err = _run_in_process(["verify", "--builtin", "an:3", "-p", "2", *args])
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert out == ""
 
 
 def test_verify_empty_prime_list_exits_2():

@@ -183,3 +183,10 @@ def test_projection_matrix_shape():
         cg = class_group(spec)
         assert cg.projection.rows == cg.free_rank + len(cg.invariant_factors)
         assert cg.projection.cols == spec.num_facets
+
+
+def test_class_group_cache_is_bounded():
+    # no module-level cache grows without bound; this one holds more rings
+    # than any one command uses (verify --corpus has 14)
+    info = class_group.cache_info()
+    assert info.maxsize is not None and info.maxsize >= 14
