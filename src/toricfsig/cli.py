@@ -276,6 +276,11 @@ def cmd_verify(args) -> int:
         raise ValueError(f"-e must be at least 1, got {args.e_max}")
     if args.q_max < 2:
         raise ValueError(f"--q-max must be at least 2, got {args.q_max}")
+    for p in ps:
+        if p > args.q_max:
+            raise ValueError(
+                f"-p {p} is above --q-max {args.q_max}, so it has no witness rows"
+            )
     if args.corpus:
         rings = default_corpus()
     else:

@@ -8,50 +8,60 @@ integer arithmetic: writing w in lattice coordinates c/q, the coefficient is
 (c . g_i + a_i) // q with g_i the integer facet pairings of the basis.
 
 The coset space has q^d elements and dominates the runtime of the whole
-package, so both counters evaluate runs of cosets.  The base divisor is
+package, so no kernel visits the cosets one by one.  The base divisor is
 first reduced to 0 <= r < q (a = q*k + r shifts every summand by k, hence
 every class by the class of k).  With all coordinates but one fixed, each
 facet floor is a step function of the remaining one, t, with at most |g_i|
 steps, so a prefix row splits into at most K + 1 runs of constant summand,
-K being the absolute sum of t's column of G.  Two kernels count those runs,
-and ``decompose`` picks one in a single place:
+K being the absolute sum of t's column of G.  Three kernels count those
+runs:
 
+- ``_plane_runs``, pure Python integers, fixes all coordinates but t and a
+  second one, s, and splits the s-axis where the order of the floor steps
+  along t changes.  Inside one s-interval the total length of a run is a
+  difference of two floor sums of O(log) steps each (``_floor_sum``), so
+  its work stops growing with q once q passes the number of splits.
+- ``_walk_runs``, pure Python integers, visits the runs one prefix row at
+  a time and adds each run's class weighted by its length, projecting each
+  new floor vector with the rows of the class projection and keeping its
+  class in a bounded cache.  A plain count takes the least-K column
+  innermost; with ``detail`` the walk keeps lexicographic order, the last
+  coordinate innermost, and lists every coset, with one shared summand
+  divisor per floor vector and one shared Fraction per distinct
+  representative numerator.
 - ``_count_runs``, numpy int64, takes the column with the least K innermost
   and tallies the class at each run start weighted by the run length, for
-  about q^(d-1) * min(q, 1 + K) runs instead of q^d cosets.  Chunked
-  merging is commutative, so the multiset is identical under any partition
-  of the prefix rows.
-- ``_walk_runs``, pure Python integers, visits the same runs one at a time
-  and adds each run's class weighted by its length, projecting each new
-  floor vector with the rows of the class projection and keeping its class
-  in a bounded cache.  A plain count takes the least-K column innermost;
-  with ``detail`` the walk keeps lexicographic order, the last coordinate
-  innermost, and lists every coset, with one shared summand divisor per
-  floor vector and one shared Fraction per distinct representative
-  numerator.
+  about q^(d-1) * min(q, 1 + K) runs.  Chunked merging is commutative, so
+  the multiset is identical under any partition of the prefix rows.
 
-A plain count takes ``_count_runs`` when ``_coset_values_fit_int64`` holds
-and either numpy is already loaded or the run count exceeds
-``_NUMPY_RUNS`` = 2^15; every other count, and all of ``detail``, takes the
-walk.  The constant weighs the numpy import, about 55-65 ms of a fresh
-process on a 2-core x86-64 host with Python 3.11 and numpy 2.4, against
-the walk's rate of about 440,000 runs per second there: the walk counts
-about 2^15 runs in the time of the import, and the whole command is faster
-on the walk below it.  Once numpy is loaded every plain count that fits
-int64 takes it, so callers with several counts, ``run_corpus`` and
-``signature_sequence``, call ``choose_kernel`` with their largest counts
-first: it applies the same rule to them and imports numpy up front when
-one will need it, so that the smaller counts before it do not walk.
+One decision function, ``_plain_kernel``, picks the kernel of a plain
+count; ``detail`` always takes the walk.  The walk costs its run count.  A
+count whose values fit int64 (``_coset_values_fit_int64``) takes the numpy
+kernel when numpy is already loaded or the walk has more than
+``_NUMPY_RUNS`` = 2^15 runs: the constant weighs the numpy import, about
+55-65 ms of a fresh process on a 2-core x86-64 host with Python 3.11 and
+numpy 2.4, against the walk's rate of about 440,000 runs per second there,
+and numpy then counts about ``_NUMPY_GAIN`` runs in the time of one walk
+run.  The plane takes the count instead when its estimate, ``_plane_work``
+in walk runs, is below the cost of the kernel that rule picks, the import
+included.  So sparse counts, whose splits are few, take the plane, and the
+dense ones, a dense G at small q where most s-intervals hold one value,
+stay with the walk or numpy.  Callers with several counts, ``run_corpus``
+and ``signature_sequence``, ask ``choose_kernel`` about all of them first:
+it asks ``_plain_kernel`` and imports numpy up front when one count will
+need it, so that the counts before that one do not walk.
 
 numpy is imported inside ``choose_kernel``, ``_count_runs``,
 ``_tally_rows``, ``_grid_blocks`` and ``box_count_oracle`` only, so
-commands that count nothing, count few runs, ask for the detail or
-overflow int64 never load it.  The box oracle walks the numpy grid of
-``_grid_blocks`` over its bounding box.
+commands that count nothing, count few or sparse runs, ask for the detail
+or overflow int64 never load it; no count of ``verify --corpus`` does.  The
+box oracle walks the numpy grid of ``_grid_blocks`` over the bounding box
+of qP in lattice coordinates.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -60,8 +70,6 @@ import sys
 import warnings
 from fractions import Fraction
 
-from .geometry import solve_square
-from .linalg import IntMat
 from .record import Record
 from .divisors import (
     ENUMERATION_CAP,
@@ -80,6 +88,8 @@ DEFAULT_CHUNK = 1 << 19
 _INT64_SAFE = 1 << 62
 _WALK_CACHE = 1 << 16  # floor vectors whose class the run walk keeps
 _NUMPY_RUNS = 1 << 15  # runs above which a plain count pays the numpy import
+_NUMPY_GAIN = 16  # runs the numpy kernel counts in the time of one walk run
+_PLANE_UNITS = 4  # units of plane work done in the time of one walk run
 
 
 def resolve_cap(cap: int | None) -> int:
@@ -159,12 +169,10 @@ def decompose(
     q^d.  With ``detail`` the per-coset pairs (representative, summand
     divisor) are kept, representatives being the lattice basis combinations
     with coefficients in [0, q)^d over q, in lexicographic coefficient
-    order.  A plain count whose values fit int64 runs in numpy blocks of
-    at most ``chunk_size`` prefix rows times runs per row when numpy is
-    already loaded or its q^(d-1) * min(q, 1 + K) runs exceed
-    ``_NUMPY_RUNS``, about the runs the pure Python walk counts in the time
-    of the numpy import; every other count, and ``detail``, takes the walk,
-    which has no blocks.  Neither the kernel nor the size changes the result.
+    order.  A plain count takes the kernel that ``_plain_kernel`` picks;
+    the numpy kernel counts in blocks of at most ``chunk_size`` prefix rows
+    times runs per row, and ``detail`` takes the walk, which has no blocks,
+    nor has the plane.  Neither the kernel nor the size changes the result.
     """
     if len(divisor) != spec.num_facets:
         raise ValueError("divisor length does not match facet count")
@@ -197,12 +205,14 @@ def decompose(
         grows = g.to_rows()
         if detail:
             counts, rows = _walk_runs(r, q, cg, grows, (k, spec.lattice.basis))
-        elif _coset_values_fit_int64(q, cg, g) and (
-            "numpy" in sys.modules or _run_count(q, grows) > _NUMPY_RUNS
-        ):
-            counts = _count_runs(r, q, cg, g, chunk_size)
         else:
-            counts, _ = _walk_runs(r, q, cg, grows)
+            kernel = _plain_kernel(q, g, lambda: cg, "numpy" in sys.modules)
+            if kernel == "plane":
+                counts = _plane_runs(r, q, cg, grows)
+            elif kernel == "runs":
+                counts = _count_runs(r, q, cg, g, chunk_size)
+            else:
+                counts, _ = _walk_runs(r, q, cg, grows)
         shift = class_of(cg, WeilDivisor(k))
         nfree = cg.free_rank
         shifted = [
@@ -220,16 +230,18 @@ def choose_kernel(
     q_max: int | None = None,
     cap: int | None = None,
 ) -> None:
-    """Import numpy now if the largest plain count of ``spec`` at q = p^e,
-    e = 1..e_max, q <= ``q_max`` and q^d within the cap, will need it.
+    """Import numpy now if a plain count of ``spec`` at q = p^e, e =
+    1..e_max, q <= ``q_max`` and q^d within the cap, will need it.
 
-    ``decompose`` chooses its kernel per call, and once numpy is loaded
-    every plain count that fits int64 takes ``_count_runs``.  A caller that
-    asks here about its largest counts before its first count thus counts
-    on one kernel throughout, where choosing per call would walk its small
-    counts and then pay the import for a large one anyway.  A count that
+    ``decompose`` chooses its kernel per call with ``_plain_kernel``, and
+    once numpy is loaded every plain count that fits int64 and does not
+    take the plane takes ``_count_runs``.  A caller that asks here about
+    all of its counts before its first count thus counts on one kernel
+    throughout, where choosing per call would walk its small counts and
+    then pay the import for a large one anyway.  A count that
     ``decompose`` would refuse decides nothing, and neither does a loaded
-    numpy, so this costs no class-group lookup unless a count is large.
+    numpy; the class group is looked up only for a count of more than
+    ``_NUMPY_RUNS`` runs that the plane does not take.
     """
     if "numpy" in sys.modules:
         return
@@ -238,22 +250,51 @@ def choose_kernel(
             return
         cap = resolve_cap(cap)
         d = spec.dim
-        q = None
+        g = pairing_matrix(spec)
+        if not g.rows:
+            return
+        class_data = functools.cache(lambda: class_group(spec))
         for e in range(1, e_max + 1):
             # e*d first, so that p^(e*d) is formed only when it may fit
             if e * d > cap.bit_length() or p ** (e * d) > cap or (
                 q_max is not None and p**e > q_max
             ):
+                return
+            if _plain_kernel(p**e, g, class_data) == "runs":
                 break
-            q = p**e
-        g = pairing_matrix(spec)
-        if q is None or not g.rows or _run_count(q, g.to_rows()) <= _NUMPY_RUNS:
+        else:
             return
-        cg = class_group(spec)
+        if not class_data().projection.rows:
+            return
     except ValueError:
         return
-    if cg.projection.rows and _coset_values_fit_int64(q, cg, g):
-        import numpy  # noqa: F401
+    import numpy  # noqa: F401
+
+
+def _plain_kernel(q, g, class_data, numpy_loaded=False) -> str:
+    """The kernel of a plain count at q: "plane", "runs" or "walk".
+
+    The walk's cost is its run count, ``_run_count``.  The numpy rule sends
+    a count to ``_count_runs`` when its values fit int64 and numpy is loaded
+    or the walk has more than ``_NUMPY_RUNS`` runs; that costs about one
+    walk run per ``_NUMPY_GAIN`` runs, plus ``_NUMPY_RUNS`` for the import
+    when numpy is not loaded yet.  The plane takes the count when its own
+    estimate, ``_plane_work``, is below the cost of the kernel that rule
+    picks.  ``class_data()`` gives the class group, asked only when the
+    rule needs it and the plane is not cheaper than both of its kernels.
+    """
+    grows = g.to_rows()
+    runs = _run_count(q, grows)
+    with_numpy = runs // _NUMPY_GAIN + (0 if numpy_loaded else _NUMPY_RUNS)
+    plane = _plane_work(q, grows) if len(grows[0]) > 1 else math.inf
+    if plane < min(runs, with_numpy):
+        return "plane"
+    use_numpy = (numpy_loaded or runs > _NUMPY_RUNS) and _coset_values_fit_int64(
+        q, class_data(), g
+    )
+    if plane < (with_numpy if use_numpy else runs):
+        return "plane"
+    return "runs" if use_numpy else "walk"
 
 
 def _inner_column(grows) -> int:
@@ -391,6 +432,201 @@ def _walk_runs(r, q, cg, grows, detail=None):
                     columns.append(itertools.repeat(fractions[start], q))
             rows.extend(zip(zip(*columns), run_divisors))
     return counts, (tuple(rows) if detail is not None else None)
+
+
+def _floor_sum(n, m, a, b) -> int:
+    """sum_{u=0}^{n-1} floor((a*u + b) / m) for n >= 0 and m >= 1.
+
+    Euclid-like reciprocity halves the problem each step, so this takes
+    O(log m) steps (Graham, Knuth and Patashnik, Concrete Mathematics,
+    section 3.5; the ``floor_sum`` of the AtCoder Library)."""
+    if m == 1:
+        return a * (n * (n - 1) // 2) + b * n
+    total = 0
+    while True:
+        if not 0 <= a < m:
+            qa, a = divmod(a, m)
+            total += qa * (n * (n - 1) // 2)
+        if not 0 <= b < m:
+            qb, b = divmod(b, m)
+            total += qb * n
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def _plane_axes(grows):
+    """The plane's t column of G (least absolute sum) and s column (the
+    next least), the other column indices, and the facet pairs (i, j, sign,
+    det, gcd(g_i, g_j)) whose lines cross, det = sign * (g_j*h_i - g_i*h_j)
+    > 0."""
+    t_col, s_col, *outer = sorted(
+        range(len(grows[0])), key=lambda j: sum(abs(row[j]) for row in grows)
+    )
+    g = [row[t_col] for row in grows]
+    h = [row[s_col] for row in grows]
+    pairs = []
+    for i, j in itertools.combinations(range(len(grows)), 2):
+        det = g[j] * h[i] - g[i] * h[j]
+        if g[i] and g[j] and det:
+            sign = 1 if det > 0 else -1
+            pairs.append((i, j, sign, det * sign, math.gcd(g[i], g[j])))
+    return g, h, outer, pairs
+
+
+def _plane_work(q, grows) -> int:
+    """The plane's work in walk runs: per outer row, the crossing and
+    window splits it enumerates, and its intervals, at most q, times the
+    floor sums of the lines inside one, with ``_PLANE_UNITS`` of these
+    per walk run."""
+    g, h, outer, pairs = _plane_axes(grows)
+    crossings = sum(det // step + 1 for _, _, _, det, step in pairs)
+    window = sum((abs(hi) + 1) * (2 if gi else 1) for gi, hi in zip(g, h))
+    intervals = min(q, 2 * crossings + window + 1)
+    lines = sum(abs(gi) + 1 for gi in g if gi) + len(g)
+    row = crossings + window + intervals * lines
+    return q ** len(outer) * row // _PLANE_UNITS
+
+
+def _plane_runs(r, q, cg, grows) -> dict:
+    """Class coordinates of the cosets c in [0, q)^d, counted with
+    multiplicity, for a base divisor r with 0 <= r_i < q, two coordinates
+    at a time.
+
+    The column of G with the least absolute sum is t and the next one s;
+    with the other coordinates fixed, facet i takes the value
+    v_i = b_i + h_i*s + g_i*t on the square [0, q)^2.  Its floor over q
+    steps at the lines v_i = k*q: along t, a line with g_i > 0 is passed
+    from t = ceil(x) on and one with g_i < 0 from t = floor(x) + 1 on,
+    x = (k*q - b_i - h_i*s) / g_i.  The s-axis is split where two lines
+    cross (an integer crossing gets an interval of its own) and where a
+    floor at t = 0 or t = q - 1 changes.  Inside one interval the lines
+    strictly inside the window keep their order, that of x at its first s,
+    so the run between two adjacent lines keeps one floor vector, and its
+    total length over the interval is a difference of two floor sums.  Only
+    coincident lines tie there, and their floor sums put a ceil line before
+    a floor + 1 one; on a single s the positions themselves are sorted.  A
+    run's class is the class at t = 0 plus the columns of the class
+    projection of the lines before it, added for g_i > 0 and subtracted
+    for g_i < 0.
+
+    While counting, a class is one integer code, sum_j coordinate_j * R^j
+    with each coordinate in (-R/2, R/2) and torsion coordinates not yet
+    reduced, so that crossing a line is one addition; ``_decode`` turns
+    the codes into coordinates.
+    """
+    m, d = len(grows), len(grows[0])
+    g, h, outer, pairs = _plane_axes(grows)
+    g_out = [[row[j] for j in outer] for row in grows]
+    cols, radix = _column_codes(cg, grows)
+    lcm = math.lcm(*(x for x in g if x))
+    span = q - 1
+    # a line sorts by lcm * x at the first s of an interval
+    lines = [
+        (i, g[i], h[i], lcm // g[i], cols[i] if g[i] > 0 else -cols[i])
+        for i in range(m)
+        if g[i]
+    ]
+    counts: dict[int, int] = {}
+    for prefix in itertools.product(range(q), repeat=d - 2):
+        b = [sum(map(operator.mul, prefix, go)) + ri for go, ri in zip(g_out, r)]
+        starts = {0}
+        for i in range(m):
+            hi = h[i]
+            for base in (b[i], b[i] + g[i] * span) if g[i] else (b[i],):
+                low, high = base // q, (base + hi * span) // q
+                if hi > 0:
+                    starts.update((k * q - base - 1) // hi + 1 for k in range(low + 1, high + 1))
+                elif hi < 0:
+                    starts.update((base - k * q) // -hi + 1 for k in range(high + 1, low + 1))
+        for i, j, sign, det, step in pairs:
+            # line k_i of i and line k_j of j cross at s = (q*k + c) / det,
+            # k = sign * (g_j*k_i - g_i*k_j), a multiple of gcd(g_i, g_j)
+            c = sign * (g[i] * b[j] - g[j] * b[i])
+            first = -(c // q)
+            first += -first % step
+            for k in range(first, (det * span - c) // q + 1, step):
+                top = q * k + c
+                starts.add(top // det + 1)
+                starts.add(-(-top // det))
+        starts.discard(q)
+        starts = sorted(starts)
+        for lo, end in zip(starts, starts[1:] + [q]):
+            n = end - lo
+            code = 0
+            found = []
+            for i, gi, hi, scale, col in lines:
+                v = b[i] + hi * lo
+                low, high = v // q, (v + gi * span) // q
+                if n == 1:
+                    # a single s: the positions themselves order the lines
+                    if gi > 0:
+                        for k in range(low + 1, high + 1):
+                            t = (k * q - v - 1) // gi + 1
+                            found.append((t, t, col))
+                    else:
+                        for k in range(high + 1, low + 1):
+                            t = (k * q - v) // gi + 1
+                            found.append((t, t, col))
+                elif gi > 0:
+                    for k in range(low + 1, high + 1):
+                        x = k * q - v
+                        found.append((x * scale, _floor_sum(n, gi, -hi, x + gi - 1), col))
+                else:
+                    for k in range(high + 1, low + 1):
+                        x = k * q - v
+                        found.append((x * scale, _floor_sum(n, -gi, hi, -x) + n, col))
+            for i in range(m):
+                code += (b[i] + h[i] * lo) // q * cols[i]
+            found.sort()
+            before = 0
+            for _, total, col in found:
+                if total != before:
+                    counts[code] = counts.get(code, 0) + total - before
+                    before = total
+                code += col
+            counts[code] = counts.get(code, 0) + q * n - before
+    return _decode(counts, cg, radix)
+
+
+def _column_codes(cg, grows):
+    """Per facet the code of its column of the class projection, and the
+    radix R of the codes.
+
+    Floors stay within sum_j |G_ij| + 1 of zero when 0 <= r < q, so every
+    class coordinate of a floor vector stays within ``bound`` of zero, and
+    R = 2^shift > 2*bound + 1 keeps the coordinates of one code apart."""
+    rows = cg.projection.to_rows()
+    floor_bound = [sum(map(abs, row)) + 1 for row in grows]
+    bound = max(
+        (sum(abs(x) * f for x, f in zip(row, floor_bound)) for row in rows), default=0
+    )
+    shift = (2 * bound + 2).bit_length()
+    cols = [sum(row[i] << k * shift for k, row in enumerate(rows)) for i in range(len(grows))]
+    return cols, 1 << shift
+
+
+def _decode(counts, cg, radix) -> dict:
+    """The class keys (free coordinates, torsion coordinates reduced) of
+    code -> multiplicity ``counts``, merged."""
+    mods = cg.invariant_factors
+    nfree = cg.free_rank
+    ncoords = cg.projection.rows
+    half = radix // 2
+    offset = sum(half * radix**k for k in range(ncoords))
+    out: dict[tuple, int] = {}
+    for code, n in counts.items():
+        rest = code + offset
+        key = []
+        for k in range(ncoords):
+            rest, digit = divmod(rest, radix)
+            key.append(digit - half)
+        key[nfree:] = [x % mod for x, mod in zip(key[nfree:], mods)]
+        key = tuple(key)
+        out[key] = out.get(key, 0) + n
+    return out
 
 
 def _count_runs(r, q, cg, g, chunk_size) -> dict:
@@ -537,9 +773,11 @@ def box_count_oracle(
     projections anywhere: this is the monomial count of R modulo the q-th
     powers of the ambient variables when the ring is embedded facet-by-facet,
     and it independently reproduces the free rank of the coset decomposition.
-    The bounding box of the unit region scaled by q is walked in blocks of
-    ``DEFAULT_CHUNK`` points, in int64 when every product fits and in Python
-    integers otherwise.
+    In lattice coordinates the points are the c in Z^d with 0 <= Gc < q, so
+    the oracle walks the bounding box of qP, P = {c : 0 <= Gc <= 1} with
+    the vertices of ``unit_region_vertices`` in lattice coordinates, in
+    blocks of ``DEFAULT_CHUNK`` points, in int64 when every product fits
+    and in Python integers otherwise.
     """
     import numpy as np
 
@@ -547,53 +785,24 @@ def box_count_oracle(
     vertices = unit_region_vertices(spec)
     if not vertices:
         raise RuntimeError("facet region has no vertices; spec is invalid")
+    points = [spec.lattice.coordinates_of(v) for v in vertices]
     lows, sizes = [], []
     for k in range(spec.dim):
-        vals = [v[k] * q for v in vertices]
+        vals = [w[k] * q for w in points]
         lows.append(math.ceil(min(vals)))
         sizes.append(max(math.floor(max(vals)) - lows[-1] + 1, 0))
     _check_cap(math.prod(sizes), resolve_cap(cap), "bounding-box enumeration")
     if 0 in sizes:
         return 0
-
-    # u is a lattice point exactly when adj(B^T) u = 0 mod det, and facet i
-    # takes the value nums_i.u / den_i there
-    basis_t = spec.lattice.basis.transpose()
-    det = abs(basis_t.det())
-    adj = _adjugate(basis_t).to_rows()
-    nums, tops = [], []
-    for f in spec.facets:
-        den = math.lcm(*(c.denominator for c in f.covector))
-        nums.append([int(c * den) for c in f.covector])
-        tops.append(q * den)
-    # both products of a point and the tops stay below 2^62 on the int64 grid
+    grows = pairing_matrix(spec).to_rows()
+    # the products of a point stay below 2^62 on the int64 grid
     coord_bound = max(max(abs(lo), abs(lo + n - 1)) for lo, n in zip(lows, sizes))
-    fits = max(
-        max(sum(map(abs, row)) for row in nums) * coord_bound,
-        max(sum(map(abs, row)) for row in adj) * coord_bound,
-        max(tops),
-    ) < _INT64_SAFE
+    fits = max(q, max(sum(map(abs, row)) for row in grows) * coord_bound) < _INT64_SAFE
     dtype = np.int64 if fits else object
     lows_arr = np.array(lows, dtype=dtype)
-    adj_t = np.array(adj, dtype=dtype).T
-    nums_t = np.array(nums, dtype=dtype).T
-    tops_arr = np.array(tops, dtype=dtype)
+    g_t = np.array(grows, dtype=dtype).T
     count = 0
     for c in _grid_blocks(sizes, DEFAULT_CHUNK, dtype):
-        u = c + lows_arr
-        vals = u @ nums_t
-        ok = ((u @ adj_t) % det == 0).all(axis=1)
-        ok &= (vals >= 0).all(axis=1) & (vals < tops_arr).all(axis=1)
-        count += int(ok.sum())
+        vals = (c + lows_arr) @ g_t
+        count += int(((vals >= 0) & (vals < q)).all(axis=1).sum())
     return count
-
-
-def _adjugate(m: IntMat) -> IntMat:
-    n = m.rows
-    det = m.det()
-    cols = []
-    for j in range(n):
-        rhs = [Fraction(det if i == j else 0) for i in range(n)]
-        col = solve_square(m.to_rows(), rhs)
-        cols.append([int(x) for x in col])
-    return IntMat.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])

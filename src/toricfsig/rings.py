@@ -35,11 +35,15 @@ class Lattice(Record):
     def covolume(self) -> int:
         return abs(self.basis.det())
 
-    def coefficients_of(self, u):
-        """Coordinates of u in the basis, or None when u is not in L."""
+    def coordinates_of(self, u):
+        """Rational coordinates of u in the basis."""
         if len(u) != self.dim:
             raise ValueError(f"expected a vector of length {self.dim}")
-        sol = solve_square(self.basis.transpose().to_rows(), [Fraction(x) for x in u])
+        return solve_square(self.basis.transpose().to_rows(), [Fraction(x) for x in u])
+
+    def coefficients_of(self, u):
+        """Coordinates of u in the basis, or None when u is not in L."""
+        sol = self.coordinates_of(u)
         if sol is None or any(c.denominator != 1 for c in sol):
             return None
         return tuple(int(c) for c in sol)

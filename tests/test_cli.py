@@ -501,6 +501,39 @@ def _main_loads(argv):
 
 
 RING_FILE = "<random ring file>"
+DENSE_FILE = "<dense ring file>"
+
+# a ring whose least column of G sums to 9 in d = 4: at q = 32 the plane's
+# estimate is past the numpy kernel's, at every smaller q it is not
+DENSE = {
+    "name": "dense",
+    "dim": 4,
+    "lattice_basis": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    "facets": [["-3", "1", "1", "0"], ["2", "1", "-1", "3"], ["-1", "2", "1", "-3"],
+               ["-2", "3", "-3", "2"], ["-2", "2", "2", "-1"]],
+}
+
+
+def _ring_files(argv, tmp_path):
+    """argv with the ring-file placeholders replaced by written files."""
+    docs = {DENSE_FILE: DENSE}
+    if RING_FILE in argv:
+        from test_frobenius import random_spec
+        from toricfsig.rings import ring_to_dict, validate
+
+        rng = random.Random(11)
+        spec = random_spec(rng, 3)
+        while validate(spec):
+            spec = random_spec(rng, 3)
+        docs[RING_FILE] = ring_to_dict(spec)
+    out = []
+    for a in argv:
+        if a in docs:
+            path = tmp_path / "ring.json"
+            path.write_text(json.dumps(docs[a]))
+            a = str(path)
+        out.append(a)
+    return out
 
 
 @pytest.mark.parametrize(
@@ -517,32 +550,31 @@ RING_FILE = "<random ring file>"
         ["decompose", "--builtin", "quadric", "-p", "7", "-e", "2",
          f"--divisor={10**25 + 3},-{10**25},7,{2 * 10**25}"],
         ["verify", "--ring", RING_FILE, "-p", "2,3", "-e", "2"],
+        ["decompose", "--builtin", "quadric", "-p", "2", "-e", "7", "--divisor=3,-100,17,64"],
+        ["verify", "--corpus", "-p", "2,3,5", "-e", "8"],
+        ["decompose", "--builtin", "veronese:12", "-p", "3", "-e", "7"],
+        ["fsig", "--builtin", "an:12", "-p", "2", "-e", "10", "--divisor=-700,1023"],
+        ["decompose", "--builtin", "an:9", "-p", "2", "-e", "8",
+         f"--divisor={-3 * 10**27 - 5},{10**19 + 1}"],
     ],
     ids=["classgroup", "detail-json", "detail-text", "big-int", "small-verify",
-         "small-fsig", "small-decompose", "random-ring-verify"],
+         "small-fsig", "small-decompose", "random-ring-verify", "quadric-128",
+         "corpus-verify", "veronese-2187", "cyclic-fsig-1024", "cyclic-256-big-twist"],
 )
 def test_command_does_not_load_numpy(argv, tmp_path):
-    # the per-coset detail, the rings past int64 and every plain count of at
-    # most 2^15 runs are served by the pure Python run walk
-    if RING_FILE in argv:
-        from test_frobenius import random_spec
-        from toricfsig.rings import ring_to_dict, validate
-
-        rng = random.Random(11)
-        spec = random_spec(rng, 3)
-        while validate(spec):
-            spec = random_spec(rng, 3)
-        path = tmp_path / "ring.json"
-        path.write_text(json.dumps(ring_to_dict(spec)))
-        argv = [str(path) if a == RING_FILE else a for a in argv]
-    rc, modules, err = _main_loads(argv)
+    # the per-coset detail, the rings past int64, every plain count of at
+    # most 2^15 runs and the sparse counts that the plane serves, among them
+    # every count of the corpus run, load no numpy
+    rc, modules, err = _main_loads(_ring_files(argv, tmp_path))
     assert rc == 0, err
     assert "numpy" not in modules
 
 
-def test_large_plain_count_loads_numpy():
-    # the quadric at q = 128 has 128^2 * 3 runs, past 2^15: numpy counts it
-    rc, modules, err = _main_loads(["decompose", "--builtin", "quadric", "-p", "2", "-e", "7"])
+def test_large_plain_count_loads_numpy(tmp_path):
+    # the dense ring at q = 32 has 32^3 * 10 runs, past 2^15, and the plane
+    # would cost more than the numpy kernel: numpy counts it
+    argv = ["decompose", "--ring", DENSE_FILE, "-p", "2", "-e", "5"]
+    rc, modules, err = _main_loads(_ring_files(argv, tmp_path))
     assert rc == 0, err
     assert "numpy" in modules
 
@@ -566,19 +598,19 @@ def test_start_up_loads_no_dataclasses_or_inspect(body):
 
 @pytest.mark.parametrize(
     "call",
-    ["run_corpus([2], 7, rings=[parse_builtin('quadric'), parse_builtin('an:3')],"
-     " q_max=None).ok",
-     "len(signature_sequence(parse_builtin('quadric'), 2, 7))"],
+    ["run_corpus([2], 5, rings=[dense, parse_builtin('an:3')], q_max=None).ok",
+     "len(signature_sequence(dense, 2, 5))"],
     ids=["run_corpus", "signature_sequence"],
 )
 def test_kernel_is_chosen_once_from_the_largest_count(call):
-    # the largest count, the quadric at q = 128 (49,152 runs), needs numpy,
-    # so the smaller counts before it, an:3 first, take numpy as well
+    # the largest count, the dense ring at q = 32, needs numpy, so the
+    # smaller counts before it, an:3 first, take numpy or the plane
     result, modules, err = _fresh(
         "import toricfsig.frobenius as fr\n"
         "from toricfsig.fsignature import signature_sequence\n"
-        "from toricfsig.rings import parse_builtin\n"
+        "from toricfsig.rings import parse_builtin, ring_from_dict\n"
         "from toricfsig.verify import run_corpus\n"
+        f"dense = ring_from_dict({DENSE!r})\n"
         "walks = []\n"
         "real = fr._walk_runs\n"
         "fr._walk_runs = lambda *a: walks.append(a[1]) or real(*a)\n"
@@ -615,8 +647,11 @@ def test_huge_e_is_refused_before_q_is_formed():
      (["-e", "-3"], "-e must be at least 1, got -3"),
      (["--q-max", "-5"], "--q-max must be at least 2, got -5"),
      (["--q-max", "1"], "--q-max must be at least 2, got 1"),
-     (["-p", "2,x"], "bad -p '2,x'")],
-    ids=["e-zero", "e-negative", "q-max-negative", "q-max-one", "p-not-integer"],
+     (["-p", "2,x"], "bad -p '2,x'"),
+     (["-p", "3", "--q-max", "2"], "-p 3 is above --q-max 2"),
+     (["-p", "2,5", "--q-max", "4"], "-p 5 is above --q-max 4")],
+    ids=["e-zero", "e-negative", "q-max-negative", "q-max-one", "p-not-integer",
+         "p-above-q-max", "one-p-above-q-max"],
 )
 def test_verify_empty_witness_range_or_bad_prime_exits_2(args, message):
     code, out, err = _run_in_process(["verify", "--builtin", "an:3", "-p", "2", *args])

@@ -3,9 +3,9 @@ import math
 import random
 from fractions import Fraction as F
 
-# numpy is loaded before any count, so that every in-process plain count
-# whose values fit int64 takes _count_runs whatever the order of the tests;
-# the walk's plain counts are compared with it by calling both kernels
+# numpy is loaded before any count, so that the kernel of an in-process
+# plain count does not depend on the order of the tests; the kernels are
+# compared with each other by calling each one directly
 import numpy as np
 import pytest
 
@@ -603,17 +603,29 @@ def random_spec(rng, d, kind="plain"):
     return RingSpec(f"random-{kind}", Lattice(IntMat.from_rows(basis)), facets)
 
 
+def _adjugate(m):
+    """adj(m) = det(m) * m^-1, one rational solve per column."""
+    n = m.rows
+    det = m.det()
+    cols = [
+        [int(x) for x in solve_square(m.to_rows(), [F(det if i == j else 0) for i in range(n)])]
+        for j in range(n)
+    ]
+    return IntMat.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
+
+
 def _box_problem(spec, q):
-    """The old oracle set-up: the vertex bounding box scaled by q, the
-    adjugate membership test, integer facet numerators and denominators,
-    and whether its int64 bound held."""
+    """The ambient set-up of the reference: the vertex bounding box scaled
+    by q, the adjugate membership test, integer facet numerators and
+    denominators; and whether the oracle's own grid, the bounding box of qP
+    in lattice coordinates, fits its int64 bound."""
     vertices = unit_region_vertices(spec)
     bounds = [
         (math.ceil(min(v[k] * q for v in vertices)), math.floor(max(v[k] * q for v in vertices)))
         for k in range(spec.dim)
     ]
     basis_t = spec.lattice.basis.transpose()
-    adj = frobenius._adjugate(basis_t)
+    adj = _adjugate(basis_t)
     facet_nums, facet_dens = [], []
     for f in spec.facets:
         den = 1
@@ -621,12 +633,13 @@ def _box_problem(spec, q):
             den = math.lcm(den, c.denominator)
         facet_nums.append([int(c * den) for c in f.covector])
         facet_dens.append(den)
-    coord_bound = max(max(abs(lo), abs(hi)) for lo, hi in bounds)
-    num_bound = max(sum(abs(x) for x in row) for row in facet_nums) * coord_bound
-    adj_bound = max(
-        sum(abs(adj.at(i, j)) for j in range(adj.cols)) for i in range(adj.rows)
-    ) * coord_bound
-    fits = max(num_bound, adj_bound, q * max(facet_dens)) < frobenius._INT64_SAFE
+    points = [solve_square(basis_t.to_rows(), v) for v in vertices]
+    coord_bound = max(
+        max(abs(math.ceil(min(w[k] * q for w in points))), abs(math.floor(max(w[k] * q for w in points))))
+        for k in range(spec.dim)
+    )
+    row_bound = max(sum(map(abs, row)) for row in pairing_matrix(spec).to_rows())
+    fits = max(q, row_bound * coord_bound) < frobenius._INT64_SAFE
     return bounds, adj, basis_t.det(), facet_nums, facet_dens, fits
 
 
@@ -654,7 +667,7 @@ def box_count_reference(spec, q):
 
 
 def _box_vs_reference(spec, ctx, monkeypatch):
-    """The oracle equals the reference, on the dtype the old bound picks."""
+    """The oracle equals the reference, on the dtype its bound picks."""
     dtypes = []
     blocks = frobenius._grid_blocks
     monkeypatch.setattr(
@@ -684,8 +697,8 @@ def test_box_count_matches_reference(ring, monkeypatch):
 
 
 def test_box_count_object_dtype(monkeypatch):
-    # the adjugate of an:2^62 has an entry 2^62, so the old int64 bound
-    # fails and the box is counted in Python integers
+    # a row of G for an:2^62 sums to 2^62 + 1, so the int64 bound fails
+    # and the box is counted in Python integers
     spec = parse_builtin(f"an:{2**62}")
     for ctx in (FrobeniusContext(2, 1), FrobeniusContext(3, 2), FrobeniusContext(3, 5)):
         assert not _box_vs_reference(spec, ctx, monkeypatch)
@@ -758,8 +771,9 @@ def test_walk_matches_reference_on_random_rings():
 
 def _kernel_summands(spec, divisor, q):
     """The summands of D = q*k + r from each plain-count kernel on r: the
-    int64 ``_count_runs`` in blocks of 64 and the walk, which takes the
-    least-K column innermost; both shifted by the class of k."""
+    int64 ``_count_runs`` in blocks of 64, the walk, which takes the
+    least-K column innermost, and the plane; each shifted by the class of
+    k."""
     cg = class_group(spec)
     g = pairing_matrix(spec)
     shift = class_of(cg, WeilDivisor(tuple(a // q for a in divisor.coeffs)))
@@ -770,6 +784,7 @@ def _kernel_summands(spec, divisor, q):
         for counts in (
             frobenius._count_runs(r, q, cg, g, 64),
             frobenius._walk_runs(r, q, cg, g.to_rows())[0],
+            frobenius._plane_runs(r, q, cg, g.to_rows()),
         )
     ]
 
@@ -809,7 +824,81 @@ def test_plain_walk_matches_count_runs_on_random_rings():
                 for _ in range(spec.num_facets)
             ))
             expected, _ = decompose_reference(spec, divisor, q)
-            runs, walk = _kernel_summands(spec, divisor, q)
+            runs, walk, plane = _kernel_summands(spec, divisor, q)
             assert runs == expected, (spec, divisor, q)
             assert walk == expected, (spec, divisor, q)
+            assert plane == expected, (spec, divisor, q)
     assert moved >= 3
+
+
+# the prime powers up to 256 that the plane test draws q from
+PLANE_POWERS = sorted({*PRIME_POWERS, 32, 49, 64, 81, 125, 128, 243, 256})
+
+
+def test_plane_matches_reference_on_random_rings():
+    # the plane on seeded valid rings in d = 2..5, some of free rank > 0 and
+    # some with non-cyclic torsion, at a dense q (K + 1 >= q) and at the
+    # largest sparse q whose reference count stays small, where s-intervals
+    # hold many values; divisors of either sign and past 2^63, so that the
+    # reference counts D = q*k + r itself and the plane counts r and shifts
+    # by the class of k: the twist identity
+    rng = random.Random(71)
+    want = {(2, "torsion"): 2, (3, "torsion"): 1, (3, "free"): 2, (4, "free"): 1,
+            (4, "noncyclic"): 1, (5, "noncyclic"): 1, (5, "free"): 1}
+    limit = {2: 6000, 3: 4100, 4: 4100, 5: 3125}
+    sparse_rings = 0
+    while any(want.values()):
+        d = rng.choice([d for (d, _), n in want.items() if n])
+        spec = random_spec(rng, d)
+        if validate(spec):
+            continue
+        cg = class_group(spec)
+        if not cg.projection.rows:
+            continue
+        kind = "free" if cg.free_rank else (
+            "noncyclic" if len(cg.invariant_factors) > 1 else "torsion"
+        )
+        if not want.get((d, kind)):
+            continue
+        want[d, kind] -= 1
+        grows = pairing_matrix(spec).to_rows()
+        kk = min(sum(abs(row[j]) for row in grows) for j in range(d))
+        dense = max(q for q in PLANE_POWERS if q <= kk + 1)
+        sparse = max(q for q in PLANE_POWERS if q**d <= limit[d])
+        for q in (dense, sparse):
+            divisor = WeilDivisor(tuple(
+                rng.choice((1, -1)) * (rng.choice((0, 2**63, 3**50)) + rng.randrange(3 * q))
+                for _ in range(spec.num_facets)
+            ))
+            expected, _ = decompose_reference(spec, divisor, q)
+            _, walk, plane = _kernel_summands(spec, divisor, q)
+            assert plane == expected, (spec, divisor, q)
+            assert walk == expected, (spec, divisor, q)
+            assert sum(plane.values()) == q**d
+        # rings whose sparse q the plane's estimate would take from the walk
+        sparse_rings += frobenius._plane_work(sparse, grows) < frobenius._run_count(sparse, grows)
+    assert sparse_rings >= 4
+
+
+def test_plane_at_q_2_to_the_40():
+    # d = 2 at q = 2^40 under a raised cap: the multiplicities sum to q^2,
+    # the twist identity holds, and adding a principal divisor G*m, which
+    # moves every floor of the count, leaves the summands as they are
+    spec = parse_builtin("veronese:5")
+    ctx = FrobeniusContext(2, 40)
+    q = ctx.q
+    cap = q**2
+    cg = class_group(spec)
+    grows = pairing_matrix(spec).to_rows()
+    assert frobenius._plain_kernel(q, pairing_matrix(spec), lambda: cg) == "plane"
+    r = (q // 3, 5)
+    base = decompose(spec, WeilDivisor(r), ctx, cap=cap).summands
+    assert sum(base.values()) == q**2
+    assert len(base) == 5
+    k = (7, -(10**30))
+    twisted = decompose(spec, WeilDivisor((q * k[0] + r[0], q * k[1] + r[1])), ctx, cap=cap)
+    shift = class_of(cg, WeilDivisor(k))
+    assert twisted.summands == {cg.add(c, shift): n for c, n in base.items()}
+    m = (q // 5 + 3, -(q // 7))
+    moved = tuple(a + sum(x * y for x, y in zip(row, m)) for a, row in zip(r, grows))
+    assert decompose(spec, WeilDivisor(moved), ctx, cap=cap).summands == base
