@@ -16,7 +16,6 @@ from fractions import Fraction
 from .divisors import WeilDivisor, class_group, class_of
 from .frobenius import (
     FrobeniusContext,
-    choose_kernel,
     decompose,
     free_rank,
     multiplicity_of,
@@ -56,7 +55,6 @@ def signature_sequence(
         raise ValueError("e_max must be at least 1")
     cg = class_group(spec)
     target = None if divisor is None else class_of(cg, divisor)
-    choose_kernel(spec, p, e_max, cap=cap)
     out = []
     for e in range(1, e_max + 1):
         ctx = FrobeniusContext(p, e)

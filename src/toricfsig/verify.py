@@ -26,7 +26,6 @@ from .divisors import (
 )
 from .frobenius import (
     FrobeniusContext,
-    choose_kernel,
     decompose,
     free_rank,
     multiplicity_of,
@@ -192,14 +191,10 @@ def run_corpus(
     cap: int | None = None,
 ) -> CorpusReport:
     """verify_ring over a parameter grid; per-ring failures are collected
-    and the sweep continues.  The counting kernel is chosen once, from the
-    largest count of every ring, before the first count."""
+    and the sweep continues, ring by ring in name order."""
     if rings is None:
         rings = default_corpus()
     rings = sorted(rings, key=lambda s: s.name)
-    for spec in rings:
-        for p in ps:
-            choose_kernel(spec, p, e_max, q_max=q_max, cap=cap)
     verdicts = []
     errors = []
     for spec in rings:

@@ -503,8 +503,8 @@ def _main_loads(argv):
 RING_FILE = "<random ring file>"
 DENSE_FILE = "<dense ring file>"
 
-# a ring whose least column of G sums to 9 in d = 4: at q = 32 the plane's
-# estimate is past the numpy kernel's, at every smaller q it is not
+# a ring whose least column of G sums to 9 in d = 4: up to q = 121 the
+# plane's split bound reaches q, so it takes every s as an interval of its own
 DENSE = {
     "name": "dense",
     "dim": 4,
@@ -556,27 +556,48 @@ def _ring_files(argv, tmp_path):
         ["fsig", "--builtin", "an:12", "-p", "2", "-e", "10", "--divisor=-700,1023"],
         ["decompose", "--builtin", "an:9", "-p", "2", "-e", "8",
          f"--divisor={-3 * 10**27 - 5},{10**19 + 1}"],
+        ["decompose", "--ring", DENSE_FILE, "-p", "2", "-e", "5"],
     ],
     ids=["classgroup", "detail-json", "detail-text", "big-int", "small-verify",
          "small-fsig", "small-decompose", "random-ring-verify", "quadric-128",
-         "corpus-verify", "veronese-2187", "cyclic-fsig-1024", "cyclic-256-big-twist"],
+         "corpus-verify", "veronese-2187", "cyclic-fsig-1024", "cyclic-256-big-twist",
+         "dense-32"],
 )
 def test_command_does_not_load_numpy(argv, tmp_path):
-    # the per-coset detail, the rings past int64, every plain count of at
-    # most 2^15 runs and the sparse counts that the plane serves, among them
-    # every count of the corpus run, load no numpy
+    # no command loads numpy: the plane counts every plain count, dense or
+    # sparse, the walk lists the detail, both in Python integers
     rc, modules, err = _main_loads(_ring_files(argv, tmp_path))
     assert rc == 0, err
     assert "numpy" not in modules
 
 
-def test_large_plain_count_loads_numpy(tmp_path):
-    # the dense ring at q = 32 has 32^3 * 10 runs, past 2^15, and the plane
-    # would cost more than the numpy kernel: numpy counts it
-    argv = ["decompose", "--ring", DENSE_FILE, "-p", "2", "-e", "5"]
-    rc, modules, err = _main_loads(_ring_files(argv, tmp_path))
-    assert rc == 0, err
-    assert "numpy" in modules
+@pytest.mark.parametrize(
+    "body, want",
+    [(f"dec = decompose(ring_from_dict({DENSE!r}), WeilDivisor((0,) * 5),"
+      " FrobeniusContext(2, 5))\n"
+      "result = sum(dec.summands.values())", 32**4),
+     ("with contextlib.redirect_stdout(io.StringIO()):\n"
+      "    result = main(['verify', '--corpus', '-p', '2,3,5', '-e', '8'])", 0),
+     ("with contextlib.redirect_stdout(io.StringIO()):\n"
+      "    result = main(['decompose', '--builtin', 'quadric', '-p', '2', '-e', '2',"
+      " '--detail', '--format', 'json'])", 0),
+     ("spec, ctx = parse_builtin('quadric'), FrobeniusContext(2, 4)\n"
+      "dec = decompose(spec, WeilDivisor((0,) * 4), ctx)\n"
+      "result = box_count_oracle(spec, ctx) == free_rank(dec)", True)],
+    ids=["dense-32", "corpus-verify", "detail-json", "box-oracle"],
+)
+def test_runs_with_numpy_blocked(body, want):
+    # with numpy blocked, importing it anywhere raises ImportError
+    result, _, err = _fresh(
+        "sys.modules['numpy'] = None\n"
+        "from toricfsig.cli import main\n"
+        "from toricfsig.divisors import WeilDivisor\n"
+        "from toricfsig.frobenius import (\n"
+        "    FrobeniusContext, box_count_oracle, decompose, free_rank)\n"
+        "from toricfsig.rings import parse_builtin, ring_from_dict\n"
+        f"{body}"
+    )
+    assert result == want, err
 
 
 @pytest.mark.parametrize(
@@ -603,8 +624,8 @@ def test_start_up_loads_no_dataclasses_or_inspect(body):
     ids=["run_corpus", "signature_sequence"],
 )
 def test_kernel_is_chosen_once_from_the_largest_count(call):
-    # the largest count, the dense ring at q = 32, needs numpy, so the
-    # smaller counts before it, an:3 first, take numpy or the plane
+    # every plain count takes the plane, the small ones of an:3 and of the
+    # dense ring as well as the dense ring at q = 32: none walks
     result, modules, err = _fresh(
         "import toricfsig.frobenius as fr\n"
         "from toricfsig.fsignature import signature_sequence\n"
@@ -620,7 +641,6 @@ def test_kernel_is_chosen_once_from_the_largest_count(call):
     done, walks = result
     assert done
     assert walks == []
-    assert "numpy" in modules
 
 
 def test_huge_e_is_refused_before_q_is_formed():

@@ -3,10 +3,6 @@ import math
 import random
 from fractions import Fraction as F
 
-# numpy is loaded before any count, so that the kernel of an in-process
-# plain count does not depend on the order of the tests; the kernels are
-# compared with each other by calling each one directly
-import numpy as np
 import pytest
 
 from toricfsig.divisors import (
@@ -182,9 +178,8 @@ def test_partition_independence():
     d = WeilDivisor((2, -1))
     ctx = FrobeniusContext(3, 2)
     reference = decompose(spec, d, ctx, detail=True)
-    for chunk in (1, 7, 64, 10**6):
-        dec = decompose(spec, d, ctx, chunk_size=chunk)
-        assert dec.summands == reference.summands
+    dec = decompose(spec, d, ctx)
+    assert dec.summands == reference.summands
     assert list(dec.summands) == sorted(
         dec.summands, key=lambda c: (c.free, c.torsion)
     )
@@ -438,6 +433,22 @@ def test_huge_coefficients_match_pure():
     _runs_vs_pure(klein, WeilDivisor((2**64, -(2**70) - 3, 5)), FrobeniusContext(2, 2))
 
 
+def test_one_dimensional_plain_count_walks():
+    # facets x and 2x on Z: validate refuses the redundant facet, and the
+    # class group Z^2 / (1, 2)Z is Z, so a plain count cannot take the
+    # shortcut, nor the plane, which needs two columns
+    spec = RingSpec(
+        "line", Lattice(IntMat.from_rows([[1]])),
+        (FacetFunctional((F(1),)), FacetFunctional((F(2),))),
+    )
+    assert validate(spec)
+    cg = class_group(spec)
+    assert (cg.free_rank, cg.invariant_factors) == (1, ())
+    for ctx in (FrobeniusContext(2, 2), FrobeniusContext(3, 2)):
+        for coeffs in ((0, 0), (3, -5), (-7, 11), (-(2**64), 2**63 + 1)):
+            _runs_vs_pure(spec, WeilDivisor(coeffs), ctx)
+
+
 def test_large_divisor_stays_off_the_big_int_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("big-int path reached")
@@ -454,13 +465,13 @@ def test_large_divisor_stays_off_the_big_int_path(monkeypatch):
 
 
 def test_overflowing_pairings_use_the_big_int_path(monkeypatch):
-    # G has an entry 2^62, so G*(q-1) leaves int64 and the run walk counts
-    # in Python integers
+    # G has an entry 2^62, so G*(q-1) leaves int64 and the plane counts in
+    # Python integers
     spec = parse_builtin(f"an:{2**62}")
     calls = []
-    walk = frobenius._walk_runs
+    plane = frobenius._plane_runs
     monkeypatch.setattr(
-        frobenius, "_walk_runs", lambda *a, **k: calls.append(1) or walk(*a, **k)
+        frobenius, "_plane_runs", lambda *a, **k: calls.append(1) or plane(*a, **k)
     )
     for ctx in (FrobeniusContext(3, 1), FrobeniusContext(3, 2), FrobeniusContext(5, 2)):
         for divisor in (WeilDivisor((1, -2)), WeilDivisor((-(2**70), 3**50))):
@@ -492,8 +503,8 @@ def _detail_divisors(spec, q, rng):
     ]
 
 
-def _detail_vs_reference(spec, divisor, ctx, **kwargs):
-    dec = decompose(spec, divisor, ctx, detail=True, **kwargs)
+def _detail_vs_reference(spec, divisor, ctx):
+    dec = decompose(spec, divisor, ctx, detail=True)
     summands, detail = decompose_reference(spec, divisor, ctx.q)
     assert dec.summands == summands, (spec.name, divisor, ctx.q)
     assert list(dec.summands) == list(summands)
@@ -528,26 +539,15 @@ def test_detail_matches_reference_on_noncyclic_rings(ring):
             _detail_vs_reference(spec, divisor, ctx)
 
 
-def test_detail_blocks_smaller_than_a_row():
-    # blocks of 1, 3 and 5 cosets split the rows of q = 8 and 9 cosets
-    cases = (("quadric", FrobeniusContext(2, 3)), ("an:4", FrobeniusContext(3, 2)))
-    for token, ctx in cases:
-        spec = parse_builtin(token)
-        divisor = WeilDivisor(tuple(2 - 3 * i for i in range(spec.num_facets)))
-        for chunk in (1, 3, 5):
-            _detail_vs_reference(spec, divisor, ctx, chunk_size=chunk)
-
-
 def test_detail_on_the_object_grid():
     # an:2^62 overflows int64 in G and in the basis; the walk's floors and
     # representative numerators are Python integers
     spec = parse_builtin(f"an:{2**62}")
-    assert not frobenius._coset_values_fit_int64(3, class_group(spec), pairing_matrix(spec))
+    assert pairing_matrix(spec).to_rows()[1] == [1, 2**62]
     for coeffs in ((0, 0), (1, -2), (-(10**25), 7)):
         divisor = WeilDivisor(coeffs)
         for ctx in (FrobeniusContext(2, 1), FrobeniusContext(3, 1)):
             _detail_vs_reference(spec, divisor, ctx)
-            _detail_vs_reference(spec, divisor, ctx, chunk_size=2)
 
 
 def test_trivial_class_group_detail():
@@ -616,9 +616,8 @@ def _adjugate(m):
 
 def _box_problem(spec, q):
     """The ambient set-up of the reference: the vertex bounding box scaled
-    by q, the adjugate membership test, integer facet numerators and
-    denominators; and whether the oracle's own grid, the bounding box of qP
-    in lattice coordinates, fits its int64 bound."""
+    by q, the adjugate membership test, and integer facet numerators and
+    denominators."""
     vertices = unit_region_vertices(spec)
     bounds = [
         (math.ceil(min(v[k] * q for v in vertices)), math.floor(max(v[k] * q for v in vertices)))
@@ -633,20 +632,13 @@ def _box_problem(spec, q):
             den = math.lcm(den, c.denominator)
         facet_nums.append([int(c * den) for c in f.covector])
         facet_dens.append(den)
-    points = [solve_square(basis_t.to_rows(), v) for v in vertices]
-    coord_bound = max(
-        max(abs(math.ceil(min(w[k] * q for w in points))), abs(math.floor(max(w[k] * q for w in points))))
-        for k in range(spec.dim)
-    )
-    row_bound = max(sum(map(abs, row)) for row in pairing_matrix(spec).to_rows())
-    fits = max(q, row_bound * coord_bound) < frobenius._INT64_SAFE
-    return bounds, adj, basis_t.det(), facet_nums, facet_dens, fits
+    return bounds, adj, basis_t.det(), facet_nums, facet_dens
 
 
 def box_count_reference(spec, q):
-    """box_count_oracle one point at a time in Python integers: the plain
-    loop over the bounding box that the vectorised kernel must reproduce."""
-    bounds, adj, det, facet_nums, facet_dens, _ = _box_problem(spec, q)
+    """box_count_oracle one ambient point at a time: the plain loop over the
+    bounding box that the oracle's line count must reproduce."""
+    bounds, adj, det, facet_nums, facet_dens = _box_problem(spec, q)
     count = 0
     adet = abs(det)
     for u in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)):
@@ -666,20 +658,8 @@ def box_count_reference(spec, q):
     return count
 
 
-def _box_vs_reference(spec, ctx, monkeypatch):
-    """The oracle equals the reference, on the dtype its bound picks."""
-    dtypes = []
-    blocks = frobenius._grid_blocks
-    monkeypatch.setattr(
-        frobenius,
-        "_grid_blocks",
-        lambda sizes, chunk, dtype: dtypes.append(dtype) or blocks(sizes, chunk, dtype),
-    )
-    fits = _box_problem(spec, ctx.q)[-1]
+def _box_vs_reference(spec, ctx):
     assert box_count_oracle(spec, ctx) == box_count_reference(spec, ctx.q), (spec.name, ctx)
-    assert dtypes == [np.int64 if fits else object]
-    monkeypatch.undo()
-    return fits
 
 
 BOX_RINGS = [
@@ -688,25 +668,25 @@ BOX_RINGS = [
 
 
 @pytest.mark.parametrize("ring", BOX_RINGS + ["klein", "mixed"])
-def test_box_count_matches_reference(ring, monkeypatch):
+def test_box_count_matches_reference(ring):
     docs = {"klein": KLEIN, "mixed": MIXED}
     spec = ring_from_dict(docs[ring]) if ring in docs else parse_builtin(ring)
     for p, e in ((2, 1), (2, 3), (3, 2), (5, 1), (7, 1)):
         if (p**e + 1) ** spec.dim <= 50_000:
-            assert _box_vs_reference(spec, FrobeniusContext(p, e), monkeypatch)
+            _box_vs_reference(spec, FrobeniusContext(p, e))
 
 
-def test_box_count_object_dtype(monkeypatch):
-    # a row of G for an:2^62 sums to 2^62 + 1, so the int64 bound fails
-    # and the box is counted in Python integers
+def test_box_count_object_dtype():
+    # a row of G for an:2^62 sums to 2^62 + 1, past int64; the lines are
+    # cut in Python integers
     spec = parse_builtin(f"an:{2**62}")
     for ctx in (FrobeniusContext(2, 1), FrobeniusContext(3, 2), FrobeniusContext(3, 5)):
-        assert not _box_vs_reference(spec, ctx, monkeypatch)
+        _box_vs_reference(spec, ctx)
     # a = b mod 2^62 with 0 <= a, b < 243 leaves the diagonal a = b
     assert box_count_oracle(spec, FrobeniusContext(3, 5)) == 243
 
 
-def test_box_count_on_random_rings(monkeypatch):
+def test_box_count_on_random_rings():
     rng = random.Random(17)
     done = 0
     while done < 12:
@@ -714,18 +694,28 @@ def test_box_count_on_random_rings(monkeypatch):
         if validate(spec):
             continue
         for ctx in (FrobeniusContext(2, 2), FrobeniusContext(3, 1)):
-            assert _box_vs_reference(spec, ctx, monkeypatch)
+            _box_vs_reference(spec, ctx)
         done += 1
 
 
-def test_box_count_blocks_smaller_than_a_row(monkeypatch):
-    # blocks of 1, 3 and 5 points split the rows of the box
-    for token, ctx in (("quadric", FrobeniusContext(2, 2)), (f"an:{2**62}", FrobeniusContext(3, 1))):
-        spec = parse_builtin(token)
-        want = box_count_reference(spec, ctx.q)
-        for chunk in (1, 3, 5):
-            monkeypatch.setattr(frobenius, "DEFAULT_CHUNK", chunk)
-            assert box_count_oracle(spec, ctx) == want, (token, chunk)
+# the second ring of the rings benchmark at seed 197: at q = 9 the bounding
+# box of qP holds about 65 million points, past the default cap, in fewer
+# lines than the cap
+BOX_RING = {
+    "name": "rand1:d4m6",
+    "dim": 4,
+    "lattice_basis": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]],
+    "facets": [["-1", "6", "-1", "6"], ["-2", "0", "1", "1"], ["3", "10", "0", "4"],
+               ["-1", "0", "2", "-1"], ["2", "4", "2", "-1"], ["5", "14", "6", "-1"]],
+}
+
+
+def test_box_count_cap_bounds_lines():
+    spec = ring_from_dict(BOX_RING)
+    assert validate(spec) == []
+    ctx = FrobeniusContext(3, 2)
+    dec = decompose(spec, zero_divisor(spec), ctx)
+    assert box_count_oracle(spec, ctx) == free_rank(dec)
 
 
 # q -> (p, e) for the prime powers below 30
@@ -770,10 +760,9 @@ def test_walk_matches_reference_on_random_rings():
 
 
 def _kernel_summands(spec, divisor, q):
-    """The summands of D = q*k + r from each plain-count kernel on r: the
-    int64 ``_count_runs`` in blocks of 64, the walk, which takes the
-    least-K column innermost, and the plane; each shifted by the class of
-    k."""
+    """The summands of D = q*k + r from the walk, which takes the last
+    column innermost, and from the plane, on r; each shifted by the class
+    of k."""
     cg = class_group(spec)
     g = pairing_matrix(spec)
     shift = class_of(cg, WeilDivisor(tuple(a // q for a in divisor.coeffs)))
@@ -782,19 +771,18 @@ def _kernel_summands(spec, divisor, q):
     return [
         {cg.add(ClassElement(key[:nfree], key[nfree:]), shift): n for key, n in counts.items()}
         for counts in (
-            frobenius._count_runs(r, q, cg, g, 64),
             frobenius._walk_runs(r, q, cg, g.to_rows())[0],
             frobenius._plane_runs(r, q, cg, g.to_rows()),
         )
     ]
 
 
-def test_plain_walk_matches_count_runs_on_random_rings():
+def test_plain_walk_matches_plane_on_random_rings():
     # valid random rings in d = 2..5 with a nontrivial class group, some of
     # free rank > 0 and some with non-cyclic torsion, at a dense q (K + 1 >=
     # q, K the least absolute column sum of G) and a sparse one, with
-    # coefficients of both signs; the least-K column is not the last one
-    # in some of them, so the walk really reorders
+    # coefficients of both signs; the least-K column, the plane's t, is not
+    # the last one, the walk's t, in some of them
     rng = random.Random(59)
     want = {(2, "plain"): 2, (3, "plain"): 1, (3, "free"): 1, (3, "noncyclic"): 1,
             (4, "free"): 1, (4, "noncyclic"): 1, (5, "plain"): 1}
@@ -803,7 +791,7 @@ def test_plain_walk_matches_count_runs_on_random_rings():
         d = rng.choice([d for (d, _), n in want.items() if n])
         spec = random_spec(rng, d)
         grows = pairing_matrix(spec).to_rows()
-        inner = frobenius._inner_column(grows)
+        inner = min(range(d), key=lambda j: sum(abs(row[j]) for row in grows))
         kk = sum(abs(row[inner]) for row in grows)
         sparse = min(q for q in PRIME_POWERS if q > kk + 1)
         if not kk or sparse**d > 3125 or validate(spec):
@@ -824,8 +812,7 @@ def test_plain_walk_matches_count_runs_on_random_rings():
                 for _ in range(spec.num_facets)
             ))
             expected, _ = decompose_reference(spec, divisor, q)
-            runs, walk, plane = _kernel_summands(spec, divisor, q)
-            assert runs == expected, (spec, divisor, q)
+            walk, plane = _kernel_summands(spec, divisor, q)
             assert walk == expected, (spec, divisor, q)
             assert plane == expected, (spec, divisor, q)
     assert moved >= 3
@@ -835,11 +822,11 @@ def test_plain_walk_matches_count_runs_on_random_rings():
 PLANE_POWERS = sorted({*PRIME_POWERS, 32, 49, 64, 81, 125, 128, 243, 256})
 
 
-def test_plane_matches_reference_on_random_rings():
+def test_plane_matches_reference_on_random_rings(monkeypatch):
     # the plane on seeded valid rings in d = 2..5, some of free rank > 0 and
     # some with non-cyclic torsion, at a dense q (K + 1 >= q) and at the
     # largest sparse q whose reference count stays small, where s-intervals
-    # hold many values; divisors of either sign and past 2^63, so that the
+    # of the split plane hold many values; divisors of either sign and past 2^63, so that the
     # reference counts D = q*k + r itself and the plane counts r and shifts
     # by the class of k: the twist identity
     rng = random.Random(71)
@@ -847,6 +834,11 @@ def test_plane_matches_reference_on_random_rings():
             (4, "noncyclic"): 1, (5, "noncyclic"): 1, (5, "free"): 1}
     limit = {2: 6000, 3: 4100, 4: 4100, 5: 3125}
     sparse_rings = 0
+    floor_sums = []
+    floor_sum = frobenius._floor_sum
+    monkeypatch.setattr(
+        frobenius, "_floor_sum", lambda *a: floor_sums.append(1) or floor_sum(*a)
+    )
     while any(want.values()):
         d = rng.choice([d for (d, _), n in want.items() if n])
         spec = random_spec(rng, d)
@@ -871,12 +863,20 @@ def test_plane_matches_reference_on_random_rings():
                 for _ in range(spec.num_facets)
             ))
             expected, _ = decompose_reference(spec, divisor, q)
-            _, walk, plane = _kernel_summands(spec, divisor, q)
+            walk, plane = _kernel_summands(spec, divisor, q)
             assert plane == expected, (spec, divisor, q)
             assert walk == expected, (spec, divisor, q)
             assert sum(plane.values()) == q**d
-        # rings whose sparse q the plane's estimate would take from the walk
-        sparse_rings += frobenius._plane_work(sparse, grows) < frobenius._run_count(sparse, grows)
+            # a split bound of 0 makes the plane split the s-axis at any q,
+            # also where it takes every s as an interval of its own
+            floor_sums.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(frobenius, "_split_bound", lambda *a: 0)
+                _, split = _kernel_summands(spec, divisor, q)
+            assert split == expected, (spec, divisor, q)
+        # rings whose sparse q the split plane counts over s-intervals of
+        # several values, with floor sums
+        sparse_rings += bool(floor_sums)
     assert sparse_rings >= 4
 
 
@@ -890,7 +890,6 @@ def test_plane_at_q_2_to_the_40():
     cap = q**2
     cg = class_group(spec)
     grows = pairing_matrix(spec).to_rows()
-    assert frobenius._plain_kernel(q, pairing_matrix(spec), lambda: cg) == "plane"
     r = (q // 3, 5)
     base = decompose(spec, WeilDivisor(r), ctx, cap=cap).summands
     assert sum(base.values()) == q**2
