@@ -9,8 +9,6 @@ from .divisors import (
     WeilDivisor,
     class_group,
     class_of,
-    divisorial_points,
-    order_of_class,
     principal_divisor,
     torsion_elements,
 )
@@ -34,7 +32,6 @@ from .fsignature import (
 from .linalg import (
     IntMat,
     SmithDecomposition,
-    cokernel_invariants,
     hermite_normal_form,
     kernel_basis,
     smith_normal_form,
@@ -46,7 +43,6 @@ from .rings import (
     RingSpec,
     builtin_ring,
     contains,
-    dump_ring_file,
     load_ring_file,
     parse_builtin,
     validate,
@@ -55,7 +51,6 @@ from .verify import (
     TheoremVerdict,
     default_corpus,
     run_corpus,
-    verify_per_class_convergence,
     verify_ring,
 )
 
@@ -81,20 +76,16 @@ __all__ = [
     "builtin_ring",
     "class_group",
     "class_of",
-    "cokernel_invariants",
     "contains",
     "convergence_report",
     "decompose",
     "default_corpus",
-    "divisorial_points",
-    "dump_ring_file",
     "exact_signature_volume",
     "free_rank",
     "hermite_normal_form",
     "kernel_basis",
     "load_ring_file",
     "multiplicity_of",
-    "order_of_class",
     "parse_builtin",
     "principal_divisor",
     "run_corpus",
@@ -104,6 +95,5 @@ __all__ = [
     "smith_normal_form",
     "torsion_elements",
     "validate",
-    "verify_per_class_convergence",
     "verify_ring",
 ]

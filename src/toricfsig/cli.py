@@ -50,7 +50,7 @@ def _add_ring_args(sub, required=True):
 
 
 def _resolve_ring(args) -> RingSpec:
-    if args.builtin:
+    if args.builtin is not None:
         return parse_builtin(args.builtin)
     spec = load_ring_file(args.ring)
     problems = validate(spec)

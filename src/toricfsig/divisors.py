@@ -12,16 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 
 from .linalg import IntMat, smith_normal_form
 from .record import Record
-from .rings import RingSpec, pairing_matrix
+from .rings import RingSpec
 
 ENUMERATION_CAP = 2**24
-# rings whose class group stays cached: a CLI command sees at most the 14
-# rings of verify --corpus, and the whole test suite about 220
-_CLASS_GROUP_CACHE = 512
 
 
 class CapExceededError(RuntimeError):
@@ -117,17 +113,20 @@ def principal_divisor(spec: RingSpec, u) -> WeilDivisor:
     return WeilDivisor(tuple(int(f.pairing(u)) for f in spec.facets))
 
 
-@lru_cache(maxsize=_CLASS_GROUP_CACHE)
 def class_group(spec: RingSpec) -> ClassGroupData:
-    """Divisor classes modulo principal divisors, via the Smith normal form
-    of the pairing matrix.
+    """Divisor classes modulo principal divisors, computed once per spec
+    (``RingSpec.class_group``)."""
+    return spec.class_group
+
+
+def class_group_of(g: IntMat) -> ClassGroupData:
+    """The cokernel of a pairing matrix G, via its Smith normal form.
 
     The certificate row operations sort the coefficient space into killed
     coordinates (unit factors), cyclic coordinates, and free coordinates;
     keeping the corresponding rows of the certificate gives a projection with
     projection(principal divisor) = 0 by construction.
     """
-    g = pairing_matrix(spec)
     dec = smith_normal_form(g)
     diag = dec.diagonal()
     rank = sum(1 for d in diag if d)
@@ -150,16 +149,6 @@ def class_of(cg: ClassGroupData, divisor: WeilDivisor) -> ClassElement:
     return cg.reduce(coords[: cg.free_rank], coords[cg.free_rank :])
 
 
-def order_of_class(cg: ClassGroupData, c: ClassElement):
-    """Least k >= 1 with k*c = 0, or None for elements of infinite order."""
-    if any(c.free):
-        return None
-    order = 1
-    for t, d in zip(c.torsion, cg.invariant_factors):
-        order = math.lcm(order, d // math.gcd(t, d))
-    return order
-
-
 def torsion_elements(cg: ClassGroupData, cap: int = ENUMERATION_CAP) -> list[ClassElement]:
     """All torsion classes, ordered lexicographically by residue tuple."""
     if cg.torsion_cardinality > cap:
@@ -172,25 +161,3 @@ def torsion_elements(cg: ClassGroupData, cap: int = ENUMERATION_CAP) -> list[Cla
         ClassElement(zero_free, residues)
         for residues in itertools.product(*(range(d) for d in cg.invariant_factors))
     ]
-
-
-def divisorial_points(spec: RingSpec, divisor: WeilDivisor, box) -> list[tuple[int, ...]]:
-    """Lattice points of the divisorial module R(D) inside a coordinate box.
-
-    R(D) is spanned by the monomials u in L with facet_i(u) >= -a_i; the box
-    is one half-open (lo, hi) pair per coordinate.
-    """
-    if len(divisor) != spec.num_facets:
-        raise ValueError("divisor length does not match facet count")
-    if len(box) != spec.dim:
-        raise ValueError("box must give one (lo, hi) pair per coordinate")
-    ranges = [range(int(lo), int(hi)) for lo, hi in box]
-    out = []
-    for u in itertools.product(*ranges):
-        if spec.lattice.coefficients_of(u) is None:
-            continue
-        if all(
-            f.pairing(u) >= -a for f, a in zip(spec.facets, divisor.coeffs)
-        ):
-            out.append(u)
-    return out

@@ -55,7 +55,7 @@ from .divisors import (
     class_of,
     torsion_elements,
 )
-from .rings import RingSpec, is_prime, pairing_matrix, unit_region_vertices
+from .rings import RingSpec, is_prime
 
 CAP_ENV_VAR = "TORICFSIG_CAP"
 _WALK_CACHE = 1 << 16  # floor vectors whose class the run walk keeps
@@ -166,7 +166,7 @@ def decompose(
         # form, so the multiset is forced without enumerating
         summands = {cg.zero(): total}
     else:
-        grows = pairing_matrix(spec).to_rows()
+        grows = spec.pairings
         if detail:
             counts, rows = _walk_runs(r, q, cg, grows, (k, spec.lattice.basis))
         elif d == 1:
@@ -532,26 +532,25 @@ def box_count_oracle(
     and it independently reproduces the free rank of the coset decomposition.
     In lattice coordinates the points are the c in Z^d with 0 <= Gc < q, so
     the oracle covers the bounding box of qP, P = {c : 0 <= Gc <= 1} with
-    the vertices of ``unit_region_vertices`` in lattice coordinates, one
-    line along its widest coordinate t at a time: with the other
-    coordinates fixed, each facet b_i + g_i*t in [0, q) cuts t to an
-    interval, and the line adds the length of their intersection.  The cap
-    bounds the number of lines.
+    the vertex rays of ``spec.unit_region``, one line along its widest
+    coordinate t at a time: with the other coordinates fixed, each facet
+    b_i + g_i*t in [0, q) cuts t to an interval, and the line adds the
+    length of their intersection.  The cap bounds the number of lines.
     """
     q = ctx.q
-    vertices = unit_region_vertices(spec)
-    if not vertices:
+    rays = [ray for ray, _ in spec.unit_region[0]]
+    if not rays:
         raise RuntimeError("facet region has no vertices; spec is invalid")
-    points = [spec.lattice.coordinates_of(v) for v in vertices]
-    ranges = []
-    for k in range(spec.dim):
-        vals = [w[k] * q for w in points]
-        ranges.append(range(math.ceil(min(vals)), math.floor(max(vals)) + 1))
+    # a ray is (c*t, t) for the vertex c: ceil(c_k*q) and floor(c_k*q)
+    ranges = [
+        range(min(-(-r[k] * q // r[-1]) for r in rays), max(r[k] * q // r[-1] for r in rays) + 1)
+        for k in range(spec.dim)
+    ]
     t = max(range(spec.dim), key=lambda k: len(ranges[k]))
     t_range = ranges.pop(t)
     lines = math.prod(map(len, ranges))
     _check_cap(lines, resolve_cap(cap), "bounding-box enumeration", "lines")
-    facets = [(row[t], row[:t] + row[t + 1 :]) for row in pairing_matrix(spec).to_rows()]
+    facets = [(row[t], row[:t] + row[t + 1 :]) for row in spec.pairings]
     count = 0
     for c in itertools.product(*ranges):
         lo, hi = t_range.start, t_range.stop - 1

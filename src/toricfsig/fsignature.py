@@ -3,9 +3,10 @@
 The e-th term is s_e = a_e / q^d with a_e the number of summands of
 F^e_* R in a chosen divisor class (the trivial class by default, giving the
 free rank).  The exact limit never comes from truncating that sequence: it
-is either the normalized volume of the region where every facet value lies
-in [0, 1), or Singh's determinantal closed form for the size-(r, s) generic
-determinantal rings, both computed in exact rational arithmetic.
+is either the volume of the region where every facet value lies in [0, 1],
+taken in lattice coordinates, or Singh's determinantal closed form for the
+size-(r, s) generic determinantal rings, both computed in exact rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from .frobenius import (
     free_rank,
     multiplicity_of,
 )
-from .geometry import matrix_rank, polytope_volume
 from .record import Record
-from .rings import RingSpec, unit_region_halfspaces
+from .rings import RingSpec
 
 VOLUME_DIM_LIMIT = 4
 
@@ -65,22 +65,20 @@ def signature_sequence(
 
 
 def exact_signature_volume(spec: RingSpec) -> ExactFSignature:
-    """Exact F-signature of a valid spec as a normalized region volume.
+    """Exact F-signature of a valid spec as a region volume.
 
-    The region {u : 0 <= facet_i(u) < 1} holds one representative of every
-    coset of L contributing a free summand; its volume over the covolume of
-    L is the density of those cosets, hence the limit of s_e.
+    In lattice coordinates c the cosets contributing a free summand are the
+    c/q with c in [0, q)^d and 0 <= Gc < q, so their density is the volume
+    of P = {c : 0 <= Gc <= 1}, hence the limit of s_e; it is the volume of
+    {u : 0 <= facet_i(u) <= 1} over the covolume of L.
     """
     if spec.dim > VOLUME_DIM_LIMIT:
         raise ValueError(
             f"exact volume supports dimension <= {VOLUME_DIM_LIMIT}, got {spec.dim}"
         )
-    if matrix_rank([f.covector for f in spec.facets]) < spec.dim:
+    if not spec.unit_region[0]:
         raise RuntimeError("facet region is unbounded; spec is not pointed")
-    vol = polytope_volume(unit_region_halfspaces(spec), spec.dim)
-    return ExactFSignature(
-        value=vol / spec.lattice.covolume(), method="polytope_volume"
-    )
+    return ExactFSignature(value=spec.unit_region_volume, method="polytope_volume")
 
 
 def singh_determinantal_signature(s: int, d: int) -> ExactFSignature:

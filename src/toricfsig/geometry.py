@@ -222,14 +222,14 @@ def vertex_incidence(halfspaces: list[Halfspace], dim: int):
     return vertices, tight, flat
 
 
-def polytope_volume(halfspaces: list[Halfspace], dim: int) -> Fraction:
-    """Euclidean volume of a bounded polytope given in H-form.
+def incidence_volume(incidence, dim: int) -> Fraction:
+    """Euclidean volume of a bounded region from its ``vertex_incidence``.
 
     Triangulates from the vertex-halfspace incidence and sums the simplex
-    volumes, exact because every determinant is an integer.  Degenerate
-    (lower-dimensional or empty) input yields 0.
+    volumes, exact because every determinant is an integer.  A flat region
+    yields 0.
     """
-    vertices, tight, flat = vertex_incidence(halfspaces, dim)
+    vertices, tight, flat = incidence
     if flat:
         return Fraction(0)
     total = Fraction(0)
@@ -237,3 +237,9 @@ def polytope_volume(halfspaces: list[Halfspace], dim: int) -> Fraction:
         rays = [vertices[v][0] for v in simplex]
         total += Fraction(abs(IntMat.from_rows(rays).det()), math.prod(r[-1] for r in rays))
     return total / math.factorial(dim)
+
+
+def polytope_volume(halfspaces: list[Halfspace], dim: int) -> Fraction:
+    """Euclidean volume of a bounded polytope given in H-form; degenerate
+    (lower-dimensional or empty) input yields 0."""
+    return incidence_volume(vertex_incidence(halfspaces, dim), dim)

@@ -1,5 +1,5 @@
 """Exact integer linear algebra: Hermite and Smith normal forms with
-unimodular certificates, kernels, and cokernel invariant factors.
+unimodular certificates, and integer kernels.
 
 Everything runs on Python's arbitrary-precision integers.  Determinism
 matters downstream (class-group normal forms are compared syntactically),
@@ -284,18 +284,6 @@ def hermite_normal_form(a: IntMat) -> tuple[IntMat, IntMat]:
     H = IntMat.from_rows(h) if m else IntMat.zeros(0, n)
     U = IntMat.from_rows(u) if m else IntMat.zeros(0, 0)
     return H, U
-
-
-def cokernel_invariants(a: IntMat) -> tuple[int, list[int]]:
-    """Structure of Z^rows modulo the column span of ``a``.
-
-    Returns (free_rank, invariant_factors) with the factors > 1 and in
-    divisibility order; unit factors are dropped.
-    """
-    diag = smith_normal_form(a).diagonal()
-    nonzero = [d for d in diag if d]
-    free_rank = a.rows - len(nonzero)
-    return free_rank, [d for d in nonzero if d > 1]
 
 
 def kernel_basis(a: IntMat) -> list[tuple[int, ...]]:

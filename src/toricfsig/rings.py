@@ -12,10 +12,14 @@ to the Frobenius machinery, never part of the ring identity.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from fractions import Fraction
-from .geometry import dot, enumerate_vertices, matrix_rank, solve_square, vertex_incidence
-from .linalg import IntMat, hermite_normal_form
+from functools import cached_property
+
+from .geometry import dot, incidence_volume, solve_square, vertex_incidence
+from .linalg import IntMat
 from .record import Record
 
 
@@ -35,15 +39,11 @@ class Lattice(Record):
     def covolume(self) -> int:
         return abs(self.basis.det())
 
-    def coordinates_of(self, u):
-        """Rational coordinates of u in the basis."""
-        if len(u) != self.dim:
-            raise ValueError(f"expected a vector of length {self.dim}")
-        return solve_square(self.basis.transpose().to_rows(), [Fraction(x) for x in u])
-
     def coefficients_of(self, u):
         """Coordinates of u in the basis, or None when u is not in L."""
-        sol = self.coordinates_of(u)
+        if len(u) != self.dim:
+            raise ValueError(f"expected a vector of length {self.dim}")
+        sol = solve_square(self.basis.transpose().to_rows(), [Fraction(x) for x in u])
         if sol is None or any(c.denominator != 1 for c in sol):
             return None
         return tuple(int(c) for c in sol)
@@ -85,6 +85,43 @@ class RingSpec(Record, compare=("name", "lattice", "facets")):
     def num_facets(self) -> int:
         return len(self.facets)
 
+    # Everything derived from a spec is computed at most once per spec
+    # object: cached_property writes the instance __dict__, which neither
+    # equality, hashing nor repr reads.
+
+    @cached_property
+    def pairings(self) -> tuple[tuple, ...]:
+        """The rows g_i of G, G[i][j] = facet_i(basis row j): ints, with a
+        Fraction where a functional is not integer-valued on L, which only
+        an invalid spec has."""
+        basis = [self.lattice.basis.row(j) for j in range(self.dim)]
+        return tuple(
+            tuple(v.numerator if v.denominator == 1 else v for v in map(f.pairing, basis))
+            for f in self.facets
+        )
+
+    @cached_property
+    def class_group(self):
+        """The ``ClassGroupData`` of the Smith form of G."""
+        from .divisors import class_group_of  # divisors imports this module
+
+        return class_group_of(pairing_matrix(self))
+
+    @cached_property
+    def unit_region(self):
+        """``vertex_incidence`` of P = {c : 0 <= g_i.c <= 1} in lattice
+        coordinates: halfspace 2i is g_i.c >= 0 and 2i + 1 is g_i.c <= 1.
+        P has a vertex exactly when the cone is pointed, as it holds 0."""
+        halfspaces = []
+        for g in self.pairings:
+            halfspaces += [(tuple(-x for x in g), 0), (g, 1)]
+        return vertex_incidence(halfspaces, self.dim)
+
+    @cached_property
+    def unit_region_volume(self) -> Fraction:
+        """The volume of P in lattice coordinates, for a pointed cone."""
+        return incidence_volume(self.unit_region, self.dim)
+
 
 def pairing_matrix(spec: RingSpec) -> IntMat:
     """Integer matrix G with G[i][j] = facet_i(basis row j).
@@ -92,32 +129,20 @@ def pairing_matrix(spec: RingSpec) -> IntMat:
     Columns are the principal divisors of the lattice basis, so the column
     span is the full group of principal divisors.
     """
-    rows = []
-    for f in spec.facets:
-        row = []
-        for j in range(spec.dim):
-            v = f.pairing(spec.lattice.basis.row(j))
-            if v.denominator != 1:
-                raise ValueError("facet functional is not integer-valued on L")
-            row.append(int(v))
-        rows.append(row)
-    if not rows:
-        return IntMat.zeros(0, spec.dim)
-    return IntMat.from_rows(rows)
-
-
-def unit_region_halfspaces(spec: RingSpec):
-    """H-form of {u : 0 <= facet_i(u) <= 1 for all i}; bounded exactly when
-    the cone is pointed."""
-    hs = []
-    for f in spec.facets:
-        hs.append((tuple(-c for c in f.covector), Fraction(0)))
-        hs.append((f.covector, Fraction(1)))
-    return hs
+    rows = spec.pairings
+    if any(v.denominator != 1 for row in rows for v in row):
+        raise ValueError("facet functional is not integer-valued on L")
+    return IntMat(len(rows), spec.dim, tuple(itertools.chain.from_iterable(rows)))
 
 
 def unit_region_vertices(spec: RingSpec):
-    return tuple(enumerate_vertices(unit_region_halfspaces(spec), spec.dim))
+    """The vertices of {u : 0 <= facet_i(u) <= 1}, sorted: those of P
+    mapped from lattice coordinates by the basis."""
+    basis_t = spec.lattice.basis.transpose()
+    return tuple(sorted(
+        tuple(Fraction(x, ray[-1]) for x in basis_t.mul_vector(ray[:-1]))
+        for ray, _ in spec.unit_region[0]
+    ))
 
 
 def validate(spec: RingSpec) -> list[str]:
@@ -127,7 +152,6 @@ def validate(spec: RingSpec) -> list[str]:
     full-dimensional cone over a full-rank lattice with primitive,
     irredundant, integer-valued facet functionals.
     """
-    violations = []
     d = spec.dim
     if d < 1:
         return ["dimension must be at least 1"]
@@ -137,42 +161,33 @@ def validate(spec: RingSpec) -> list[str]:
         if len(f.covector) != d:
             return [f"facet {i} has wrong dimension"]
 
-    integral = []
-    for i, f in enumerate(spec.facets):
-        pairings = [f.pairing(spec.lattice.basis.row(j)) for j in range(d)]
-        if any(v.denominator != 1 for v in pairings):
-            violations.append(f"functional not integer-valued on L (facet {i})")
-            integral.append(None)
-            continue
-        integral.append([int(v) for v in pairings])
-
-    for i, pairings in enumerate(integral):
-        if pairings is None:
-            continue
-        # content of the pairing vector via a Hermite reduction of its
-        # transpose; contents > 1 mean the functional is a proper multiple
-        # of another functional that is still integer-valued on L
-        h, _ = hermite_normal_form(IntMat.from_rows([[v] for v in pairings]))
-        content = h.at(0, 0) if d else 0
-        if content != 1:
-            violations.append(f"functional not primitive on L (facet {i})")
+    integral = [all(v.denominator == 1 for v in g) for g in spec.pairings]
+    violations = [
+        f"functional not integer-valued on L (facet {i})"
+        for i, ok in enumerate(integral) if not ok
+    ]
+    # a content above 1 makes the functional a proper multiple of another
+    # one that is still integer-valued on L
+    violations += [
+        f"functional not primitive on L (facet {i})"
+        for i, g in enumerate(spec.pairings) if integral[i] and math.gcd(*g) != 1
+    ]
 
     for i in range(len(spec.facets)):
         for j in range(i + 1, len(spec.facets)):
             if spec.facets[i].covector == spec.facets[j].covector:
                 violations.append(f"duplicate facet ({i}, {j})")
 
-    if matrix_rank([f.covector for f in spec.facets]) < d:
+    vertices, tight, flat = spec.unit_region
+    if not vertices:
         violations.append("cone not pointed")
         return violations
-
-    # the unit region is bounded now; halfspace 2i is facet_i >= 0, and it
-    # cuts a facet of the region exactly when its vertex set is a maximal
-    # proper nonempty one among all the halfspaces' vertex sets
-    vertices, tight, flat = vertex_incidence(unit_region_halfspaces(spec), d)
     if flat:
         violations.append("cone not full-dimensional")
         return violations
+    # halfspace 2i is facet_i >= 0, and it cuts a facet of the region
+    # exactly when its vertex set is a maximal proper nonempty one among
+    # all the halfspaces' vertex sets
     everything = (1 << len(vertices)) - 1
     proper = {t for t in tight if t and t != everything}
     for i in range(len(spec.facets)):
@@ -224,26 +239,16 @@ def builtin_ring(family: str, *params: int) -> RingSpec:
             family="polynomial",
             params=(d,),
         )
-    elif family == "an_singularity":
+    elif family in ("an_singularity", "veronese"):
         (n,) = params
         if n < 2:
-            raise ValueError("an_singularity needs n >= 2")
+            raise ValueError(f"{family} needs n >= 2")
+        an = family == "an_singularity"
         spec = RingSpec(
-            name=f"an:{n}",
-            lattice=Lattice(IntMat.from_rows([[1, 1], [0, n]])),
+            name=f"{'an' if an else 'veronese'}:{n}",
+            lattice=Lattice(IntMat.from_rows([[1, 1 if an else n - 1], [0, n]])),
             facets=_coordinate_facets(2),
-            family="an_singularity",
-            params=(n,),
-        )
-    elif family == "veronese":
-        (n,) = params
-        if n < 2:
-            raise ValueError("veronese needs n >= 2")
-        spec = RingSpec(
-            name=f"veronese:{n}",
-            lattice=Lattice(IntMat.from_rows([[1, n - 1], [0, n]])),
-            facets=_coordinate_facets(2),
-            family="veronese",
+            family=family,
             params=(n,),
         )
     elif family == "quadric_cone":
@@ -350,12 +355,6 @@ def load_ring_file(path: str) -> RingSpec:
     except (OSError, json.JSONDecodeError) as exc:
         raise RingFormatError(f"cannot read ring file {path}: {exc}") from exc
     return ring_from_dict(data)
-
-
-def dump_ring_file(spec: RingSpec, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ring_to_dict(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def is_prime(p: int) -> bool:

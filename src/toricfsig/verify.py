@@ -18,18 +18,11 @@ import io
 import json
 from fractions import Fraction
 
-from .divisors import (
-    CapExceededError,
-    WeilDivisor,
-    class_group,
-    torsion_elements,
-)
+from .divisors import CapExceededError, WeilDivisor, class_group
 from .frobenius import (
     FrobeniusContext,
     decompose,
     free_rank,
-    multiplicity_of,
-    resolve_cap,
     simultaneous_torsion_count,
 )
 from .fsignature import exact_signature_volume
@@ -99,59 +92,6 @@ def verify_ring(
         witnesses=tuple(witnesses),
         ring_def=ring_to_dict(spec),
     )
-
-
-class ClassConvergenceRow(Record):
-    torsion_coords: tuple[int, ...]
-    first_e_with_summand: int | None
-    terms: tuple[tuple[int, int, int, Fraction], ...]  # (e, q, count, ratio)
-    final_deviation: Fraction | None
-
-
-class ClassConvergenceTable(Record):
-    ring: str
-    p: int
-    exact_signature: Fraction
-    rows: tuple[ClassConvergenceRow, ...]
-
-    @property
-    def max_final_deviation(self) -> Fraction | None:
-        devs = [r.final_deviation for r in self.rows if r.final_deviation is not None]
-        return max(devs) if devs else None
-
-
-def verify_per_class_convergence(
-    spec: RingSpec, p: int, e_max: int, cap: int | None = None
-) -> ClassConvergenceTable:
-    """Summand densities per torsion class against the exact signature.
-
-    Each torsion class eventually shows up among the summands of F^e_* R and
-    its density tends to the signature; the table records the counts, the
-    first e where each class appears, and the deviation at the largest e.
-    """
-    cg = class_group(spec)
-    classes = torsion_elements(cg, resolve_cap(cap))
-    exact = exact_signature_volume(spec).value
-    decs = []
-    for e in range(1, e_max + 1):
-        ctx = FrobeniusContext(p, e)
-        decs.append(
-            decompose(spec, WeilDivisor((0,) * spec.num_facets), ctx, cap=cap)
-        )
-    rows = []
-    for c in classes:
-        terms = []
-        first_e = None
-        for dec in decs:
-            count = multiplicity_of(dec, c)
-            if count >= 1 and first_e is None:
-                first_e = dec.ctx.e
-            terms.append((dec.ctx.e, dec.ctx.q, count, Fraction(count, dec.rank)))
-        final_dev = abs(terms[-1][3] - exact) if terms else None
-        rows.append(
-            ClassConvergenceRow(c.torsion, first_e, tuple(terms), final_dev)
-        )
-    return ClassConvergenceTable(spec.name, p, exact, tuple(rows))
 
 
 def default_corpus() -> list[RingSpec]:

@@ -11,6 +11,8 @@ import random
 import time
 from fractions import Fraction as F
 
+from helpers import cokernel_invariants, verify_per_class_convergence
+
 from toricfsig.cli import main as cli_main
 from toricfsig.divisors import WeilDivisor, class_group
 from toricfsig.frobenius import (
@@ -24,9 +26,8 @@ from toricfsig.fsignature import (
     signature_sequence,
     singh_determinantal_signature,
 )
-from toricfsig.linalg import IntMat, cokernel_invariants, smith_normal_form
+from toricfsig.linalg import IntMat, smith_normal_form
 from toricfsig.rings import parse_builtin
-from toricfsig.verify import verify_per_class_convergence
 
 CORPUS = (
     ["poly:1", "poly:2", "poly:3", "quadric"]

@@ -174,6 +174,14 @@ def test_unknown_builtin_exits_2():
     assert res.stderr == "error: builtin ring 'quadric:3' takes no parameters\n"
 
 
+@pytest.mark.parametrize("command", ["classgroup", "fsig", "decompose"])
+def test_empty_builtin_address_exits_2(command):
+    # an empty address is an unknown ring, not a missing --ring file
+    assert _run_in_process([command, "--builtin", ""]) == (
+        2, "", "error: unknown builtin ring ''\n"
+    )
+
+
 def test_non_prime_characteristic_exits_2():
     res = run_cli("fsig", "--builtin", "an:2", "-p", "4", "-e", "1")
     assert res.returncode == 2
@@ -623,7 +631,7 @@ def test_start_up_loads_no_dataclasses_or_inspect(body):
      "len(signature_sequence(dense, 2, 5))"],
     ids=["run_corpus", "signature_sequence"],
 )
-def test_kernel_is_chosen_once_from_the_largest_count(call):
+def test_plain_counts_never_walk(call):
     # every plain count takes the plane, the small ones of an:3 and of the
     # dense ring as well as the dense ring at q = 32: none walks
     result, modules, err = _fresh(

@@ -1,14 +1,17 @@
+import contextlib
+import io
 import random
+import re
+from pathlib import Path
 
 import pytest
+from helpers import divisorial_points, order_of_class
 
 from toricfsig.divisors import (
     CapExceededError,
     WeilDivisor,
     class_group,
     class_of,
-    divisorial_points,
-    order_of_class,
     principal_divisor,
     torsion_elements,
 )
@@ -185,8 +188,32 @@ def test_projection_matrix_shape():
         assert cg.projection.cols == spec.num_facets
 
 
-def test_class_group_cache_is_bounded():
-    # no module-level cache grows without bound; this one holds more rings
-    # than any one command uses (verify --corpus has 14)
-    info = class_group.cache_info()
-    assert info.maxsize is not None and info.maxsize >= 14
+def _count_calls(monkeypatch, owner, name):
+    """Calls of ``owner.name`` from now on, one list item each."""
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_corpus_run_prepares_each_ring_once(monkeypatch):
+    # verify --corpus runs 14 rings at 3 primes: G, the Smith form, the
+    # double description of the unit region and its volume are made once
+    # per ring, not once per use; no module-level cache is left to do it
+    from toricfsig import cli, divisors, geometry, rings
+    from toricfsig.rings import RingSpec
+
+    counts = {
+        "G": _count_calls(monkeypatch, RingSpec.__dict__["pairings"], "func"),
+        "smith": _count_calls(monkeypatch, divisors, "smith_normal_form"),
+        "double description": _count_calls(monkeypatch, geometry, "_extreme_rays"),
+        "volume": _count_calls(monkeypatch, rings, "incidence_volume"),
+    }
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--corpus", "-p", "2,3,5", "-e", "8"]) == 0
+    assert {k: len(v) for k, v in counts.items()} == {
+        "G": 14, "smith": 14, "double description": 14, "volume": 14,
+    }
+    src = Path(rings.__file__).parent
+    for path in src.glob("*.py"):
+        assert not re.search(r"lru_cache|@(functools\.)?cache\b", path.read_text()), path.name

@@ -310,7 +310,7 @@ def test_coset_representatives_are_canonical():
         assert len(set(seen)) == ctx.q**spec.dim
 
 
-def test_nonzero_divisor_numpy_matches_pure():
+def test_nonzero_divisor_plane_matches_walk():
     rng = random.Random(8)
     for token in ["an:5", "veronese:4", "quadric"]:
         spec = parse_builtin(token)
@@ -676,7 +676,7 @@ def test_box_count_matches_reference(ring):
             _box_vs_reference(spec, FrobeniusContext(p, e))
 
 
-def test_box_count_object_dtype():
+def test_box_count_past_int64():
     # a row of G for an:2^62 sums to 2^62 + 1, past int64; the lines are
     # cut in Python integers
     spec = parse_builtin(f"an:{2**62}")

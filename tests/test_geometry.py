@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from helpers import unit_region_halfspaces
 from test_frobenius import KLEIN, MIXED
 
 from toricfsig.fsignature import exact_signature_volume
@@ -17,7 +18,6 @@ from toricfsig.geometry import (
 from toricfsig.rings import (
     parse_builtin,
     ring_from_dict,
-    unit_region_halfspaces,
     unit_region_vertices,
 )
 

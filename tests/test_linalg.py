@@ -5,10 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import cokernel_invariants
 
 from toricfsig.linalg import (
     IntMat,
-    cokernel_invariants,
     hermite_normal_form,
     kernel_basis,
     smith_normal_form,

@@ -4,6 +4,7 @@ immutability of every record type in the package."""
 from fractions import Fraction
 
 import pytest
+from helpers import ClassConvergenceRow, ClassConvergenceTable
 
 import toricfsig  # noqa: F401  (imports every record type)
 from toricfsig.divisors import ClassElement, ClassGroupData, WeilDivisor, class_group
@@ -18,8 +19,6 @@ from toricfsig.linalg import IntMat, SmithDecomposition
 from toricfsig.record import Record
 from toricfsig.rings import FacetFunctional, Lattice, RingSpec, parse_builtin
 from toricfsig.verify import (
-    ClassConvergenceRow,
-    ClassConvergenceTable,
     CorpusError,
     CorpusReport,
     TheoremVerdict,
@@ -30,7 +29,8 @@ M = IntMat(2, 2, (1, 0, 0, 1))
 SPEC = parse_builtin("an:3")
 CTX = FrobeniusContext(2, 1)
 
-# every record type with its fields, in order, and one valid value each
+# every record type of the package and of the test helpers with its fields,
+# in order, and one valid value each
 FIELDS = {
     IntMat: {"rows": 2, "cols": 2, "entries": (1, 2, 3, 4)},
     SmithDecomposition: {"U": M, "S": M, "V": M},
@@ -68,7 +68,7 @@ TYPES = pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
 def test_every_record_type_is_listed():
     assert len(FIELDS) == 20
     package = {c for c in Record.__subclasses__() if c.__module__.startswith("toricfsig.")}
-    assert package == set(FIELDS)
+    assert package == {c for c in FIELDS if c.__module__.startswith("toricfsig.")}
 
 
 @TYPES
@@ -127,8 +127,17 @@ def test_equality_and_hash_follow_the_compared_fields():
     plain = RingSpec(SPEC.name, SPEC.lattice, SPEC.facets)
     assert SPEC.family is not None and plain.family is None
     assert plain == SPEC and hash(plain) == hash(SPEC)
-    assert class_group(plain) is class_group(SPEC)
+    assert class_group(plain) == class_group(SPEC)
     assert RingSpec("other", SPEC.lattice, SPEC.facets) != SPEC
+
+
+def test_memoised_ring_values_leave_equality_hash_and_repr_alone():
+    spec = RingSpec(SPEC.name, SPEC.lattice, SPEC.facets, SPEC.family, SPEC.params)
+    before = (repr(spec), hash(spec))
+    cg = class_group(spec)
+    assert spec.unit_region_volume == Fraction(1, 3)
+    assert (repr(spec), hash(spec)) == before and spec == SPEC
+    assert class_group(spec) is cg and spec.pairings is spec.pairings
 
 
 def test_records_of_different_types_are_unequal():

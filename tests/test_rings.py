@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import dump_ring_file
 from test_frobenius import random_spec
 from test_geometry import affine_rank
 
@@ -16,7 +17,6 @@ from toricfsig.rings import (
     RingSpec,
     builtin_ring,
     contains,
-    dump_ring_file,
     is_prime,
     load_ring_file,
     parse_builtin,

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from helpers import verify_per_class_convergence
 
 from toricfsig.divisors import CapExceededError
 from toricfsig.rings import parse_builtin, ring_from_dict, validate
@@ -12,7 +13,6 @@ from toricfsig.verify import (
     report_to_csv,
     report_to_json,
     run_corpus,
-    verify_per_class_convergence,
     verify_ring,
     violation_bundle,
 )
