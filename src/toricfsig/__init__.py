@@ -16,6 +16,7 @@ from .frobenius import (
     FrobeniusContext,
     FrobeniusDecomposition,
     box_count_oracle,
+    coset_rows,
     decompose,
     free_rank,
     multiplicity_of,
@@ -78,6 +79,7 @@ __all__ = [
     "class_of",
     "contains",
     "convergence_report",
+    "coset_rows",
     "decompose",
     "default_corpus",
     "exact_signature_volume",

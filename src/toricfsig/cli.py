@@ -12,11 +12,12 @@ input, 3 enumeration cap exceeded.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
 from .divisors import CapExceededError, WeilDivisor, class_group
-from .frobenius import FrobeniusContext, decompose, resolve_cap
+from .frobenius import FrobeniusContext, coset_rows, decompose, resolve_cap
 from .fsignature import (
     convergence_report,
     exact_signature_volume,
@@ -125,7 +126,7 @@ def cmd_classgroup(args) -> int:
 
 def cmd_fsig(args) -> int:
     spec = _resolve_ring(args)
-    divisor = _parse_divisor(args.divisor, spec) if args.divisor else None
+    divisor = _parse_divisor(args.divisor, spec) if args.divisor is not None else None
     seq = signature_sequence(spec, args.p, args.e_max, divisor=divisor, cap=args.cap)
     exact = exact_signature_volume(spec) if args.exact else None
     an_param = spec.params[0] if spec.family == "an_singularity" else None
@@ -165,13 +166,15 @@ def cmd_decompose(args) -> int:
     spec = _resolve_ring(args)
     divisor = (
         _parse_divisor(args.divisor, spec)
-        if args.divisor
+        if args.divisor is not None
         else WeilDivisor((0,) * spec.num_facets)
     )
     ctx = FrobeniusContext(args.p, args.e)
-    # csv prints only the summands, so it never asks for the coset rows
-    detail = args.detail and args.format != "csv"
-    dec = decompose(spec, divisor, ctx, detail=detail, cap=args.cap)
+    dec = decompose(spec, divisor, ctx, cap=args.cap)
+    # csv prints only the summands, so it never lists the cosets
+    rows = None
+    if args.detail and args.format != "csv":
+        rows = coset_rows(spec, divisor, ctx, cap=args.cap)
     items = sorted(dec.summands.items(), key=lambda kv: (kv[0].free, kv[0].torsion))
     out = sys.stdout
     if args.format == "json":
@@ -191,7 +194,7 @@ def cmd_decompose(args) -> int:
                 for c, n in items
             ],
         }
-        if detail:
+        if rows is not None:
             # the rows are spliced into the dump of the rest of the document
             # in place of a placeholder; a key line cannot occur in a string
             doc["cosets"] = 0
@@ -201,7 +204,7 @@ def cmd_decompose(args) -> int:
             out.write(head + '\n  "cosets": [\n')
             w_row = ',\n      "w": ' + _json_list(spec.dim, '"%s"') + "\n    }"
             d_row = '    {\n      "divisor": ' + _json_list(spec.num_facets, "%s")
-            _write_rows(out, dec.detail, w_row, d_row, ",\n", divisor_first=True)
+            _write_rows(out, rows, w_row, d_row, ",\n", divisor_first=True)
             out.write("\n  ]" + tail + "\n")
         else:
             print(json.dumps(doc, indent=2, sort_keys=True))
@@ -214,10 +217,10 @@ def cmd_decompose(args) -> int:
         print(f"base divisor: {list(divisor.coeffs)}")
         for c, n in items:
             print(f"  class {_class_label(c)}: {n}")
-        if detail:
+        if rows is not None:
             w_row = "    w=(" + ", ".join(["%s"] * spec.dim) + ")"
             d_row = "  divisor=[" + ", ".join(["%s"] * spec.num_facets) + "]"
-            _write_rows(out, dec.detail, w_row, d_row, "\n", divisor_first=False)
+            _write_rows(out, rows, w_row, d_row, "\n", divisor_first=False)
             out.write("\n")
     return EXIT_OK
 
@@ -228,31 +231,26 @@ def _json_list(n: int, item: str) -> str:
 
 
 def _write_rows(
-    out, detail, w_row: str, d_row: str, sep: str, divisor_first: bool
+    out, rows, w_row: str, d_row: str, sep: str, divisor_first: bool
 ) -> None:
-    """Write one line per coset, ``w_row % w`` and ``d_row % divisor`` in
-    the given order, joined by ``sep``, in blocks.  Each shared divisor and
-    each shared Fraction is formatted once, cached by identity: ``detail``
-    keeps every object, so no id is reused during the write."""
-    texts = {}
-    block = 4096
-    for start in range(0, len(detail), block):
+    """Write one line per coset row (w, divisor) of the iterator ``rows``,
+    ``w_row % w`` and ``d_row % divisor`` in the given order, joined by
+    ``sep``, in blocks of 4096 rows.  Consecutive rows of one run share
+    their divisor object, whose text is formatted once for the run."""
+    rows = iter(rows)
+    last = d_text = None
+    first = True
+    while block := list(itertools.islice(rows, 4096)):
         lines = []
-        for w, d in detail[start : start + block]:
-            parts = []
-            for x in w:
-                text = texts.get(id(x))
-                if text is None:
-                    text = texts[id(x)] = str(x)
-                parts.append(text)
-            w_text = w_row % tuple(parts)
-            d_text = texts.get(id(d))
-            if d_text is None:
-                d_text = texts[id(d)] = d_row % d.coeffs
+        for w, d in block:
+            if d is not last:
+                last, d_text = d, d_row % d.coeffs
+            w_text = w_row % w
             lines.append(d_text + w_text if divisor_first else w_text + d_text)
-        if start:
+        if not first:
             out.write(sep)
         out.write(sep.join(lines))
+        first = False
 
 
 def _write_file(path: str, text: str) -> None:
@@ -386,8 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and not (args.corpus or args.builtin or args.ring):
-        parser.error("verify needs --corpus, --builtin or --ring")
+    if args.command == "verify":
+        if not (args.corpus or args.builtin or args.ring):
+            parser.error("verify needs --corpus, --builtin or --ring")
+        if args.corpus and (args.builtin is not None or args.ring is not None):
+            parser.error("verify --corpus takes no --builtin or --ring")
     try:
         if "cap" in vars(args):
             # resolved once, so that a bad cap is one error before any work

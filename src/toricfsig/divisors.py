@@ -102,9 +102,6 @@ class ClassGroupData(Record):
     def neg(self, a: ClassElement) -> ClassElement:
         return self.reduce((-x for x in a.free), (-x for x in a.torsion))
 
-    def scale(self, k: int, a: ClassElement) -> ClassElement:
-        return self.reduce((k * x for x in a.free), (k * x for x in a.torsion))
-
 
 def principal_divisor(spec: RingSpec, u) -> WeilDivisor:
     """Divisor of the monomial with exponent u: the vector of facet pairings."""

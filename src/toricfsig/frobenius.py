@@ -8,31 +8,30 @@ integer arithmetic: writing w in lattice coordinates c/q, the coefficient is
 (c . g_i + a_i) // q with g_i the integer facet pairings of the basis.
 
 The coset space has q^d elements and dominates the runtime of the whole
-package, so no kernel visits the cosets one by one.  The base divisor is
-first reduced to 0 <= r < q (a = q*k + r shifts every summand by k, hence
-every class by the class of k).  With all coordinates but one fixed, each
-facet floor is a step function of the remaining one, t, with at most |g_i|
-steps, so a prefix row splits into runs of constant summand.  Two kernels,
-both in Python integers, count those runs, one per job:
+package, so neither job visits the cosets one by one.  With all coordinates
+but one fixed, each facet floor is a step function of the remaining one, t,
+with at most |g_i| steps, so a prefix row splits into runs of constant
+summand.  One function does each job, both in Python integers:
 
-- ``_plane_runs`` takes every plain count.  It fixes all coordinates but t
-  and a second one, s, and splits the s-axis where the order of the floor
-  steps along t changes.  Inside one s-interval the total length of a run
-  is a difference of two floor sums of O(log) steps each (``_floor_sum``),
-  so its work stops growing with q once q passes the number of splits.
-  When the splits could number q, every s is an interval of its own.
-- ``_walk_runs`` lists the cosets for ``detail``.  It visits the runs one
-  prefix row at a time in lexicographic order, the last coordinate
-  innermost, and adds each run's class weighted by its length, projecting
-  each new floor vector with the rows of the class projection and keeping
-  its class in a bounded cache.  Each coset gets its representative and
-  summand divisor, with one shared divisor per floor vector and one shared
-  Fraction per distinct representative numerator.  It also takes the plain
-  counts in d = 1, where the plane has no second column.
+- ``decompose`` counts.  It reduces the base divisor to 0 <= r < q first
+  (a = q*k + r shifts every summand by k, hence every class by the class
+  of k), and ``_plane_runs`` turns the floors into class counts.  It fixes
+  all coordinates but t and a second one, s, and splits the s-axis where
+  the order of the floor steps along t changes.  Inside one s-interval the
+  total length of a run is a difference of two floor sums of O(log) steps
+  each (``_floor_sum``), so its work stops growing with q once q passes the
+  number of splits.  When the splits could number q, every s is an
+  interval of its own.  In d = 1 a zero column gives the plane its second
+  coordinate.
+- ``coset_rows`` lists.  It yields each coset's representative and summand
+  divisor, visiting the runs one prefix row at a time in lexicographic
+  order, the last coordinate innermost, with one divisor per run and one
+  Fraction per distinct representative numerator.  It takes no classes, and
+  it holds one prefix row at a time, never q^d rows.
 
 The box oracle counts the semigroup points of the bounding box of qP a line
 at a time, with no cosets and no classes, so it checks the free rank
-independently of the kernels.
+independently of the counter.
 """
 
 from __future__ import annotations
@@ -49,16 +48,13 @@ from .divisors import (
     ENUMERATION_CAP,
     CapExceededError,
     ClassElement,
-    ClassGroupData,
     WeilDivisor,
     class_group,
     class_of,
-    torsion_elements,
 )
 from .rings import RingSpec, is_prime
 
 CAP_ENV_VAR = "TORICFSIG_CAP"
-_WALK_CACHE = 1 << 16  # floor vectors whose class the run walk keeps
 
 
 def resolve_cap(cap: int | None) -> int:
@@ -101,7 +97,6 @@ class FrobeniusDecomposition(Record):
     ctx: FrobeniusContext
     base_divisor: WeilDivisor
     summands: dict[ClassElement, int]
-    detail: tuple | None = None
 
     @property
     def rank(self) -> int:
@@ -116,29 +111,8 @@ def _check_cap(count: int, cap: int, what: str, unit: str = "points") -> None:
         )
 
 
-def _projection_split(cg: ClassGroupData):
-    f = cg.free_rank
-    rows = cg.projection.to_rows()
-    return rows[:f], rows[f:], list(cg.invariant_factors)
-
-
-def decompose(
-    spec: RingSpec,
-    divisor: WeilDivisor,
-    ctx: FrobeniusContext,
-    *,
-    detail: bool = False,
-    cap: int | None = None,
-) -> FrobeniusDecomposition:
-    """Summand classes of F^e_* R(D), counted with multiplicity.
-
-    The result maps each normal-form class to the number of cosets whose
-    summand divisor lands in that class; multiplicities always add up to
-    q^d.  With ``detail`` the per-coset pairs (representative, summand
-    divisor) are kept, representatives being the lattice basis combinations
-    with coefficients in [0, q)^d over q, in lexicographic coefficient
-    order.  A plain count takes the plane, and ``detail`` the walk.
-    """
+def _coset_space(spec: RingSpec, divisor: WeilDivisor, ctx: FrobeniusContext, cap) -> int:
+    """q, once the divisor length is checked and q^d is within the cap."""
     if len(divisor) != spec.num_facets:
         raise ValueError("divisor length does not match facet count")
     d = spec.dim
@@ -152,37 +126,49 @@ def decompose(
             f"raise it with --cap or {CAP_ENV_VAR}"
         )
     q = ctx.q
-    total = q**d
-    _check_cap(total, cap, f"coset enumeration for q^d = {q}^{d}")
+    _check_cap(q**d, cap, f"coset enumeration for q^d = {q}^{d}")
+    return q
+
+
+def decompose(
+    spec: RingSpec,
+    divisor: WeilDivisor,
+    ctx: FrobeniusContext,
+    *,
+    cap: int | None = None,
+) -> FrobeniusDecomposition:
+    """Summand classes of F^e_* R(D), counted with multiplicity.
+
+    The result maps each normal-form class to the number of cosets whose
+    summand divisor lands in that class; multiplicities always add up to
+    q^d.  A trivial class group forces the multiset, and ``_plane_runs``
+    counts every other one; ``coset_rows`` lists the cosets themselves.
+    """
+    q = _coset_space(spec, divisor, ctx, cap)
     cg = class_group(spec)
+    if cg.projection.rows == 0:
+        # trivial class group: every summand projects to the empty normal
+        # form, so the multiset is forced without enumerating
+        return FrobeniusDecomposition(spec, ctx, divisor, {cg.zero(): q**spec.dim})
     # a = q*k + r with 0 <= r < q: floor((x + q*k)/q) = k + floor(x/q),
     # so every summand of a is the summand of r plus k
     k = tuple(a // q for a in divisor.coeffs)
     r = tuple(a % q for a in divisor.coeffs)
-
-    rows = None
-    if cg.projection.rows == 0 and not detail:
-        # trivial class group: every summand projects to the empty normal
-        # form, so the multiset is forced without enumerating
-        summands = {cg.zero(): total}
-    else:
-        grows = spec.pairings
-        if detail:
-            counts, rows = _walk_runs(r, q, cg, grows, (k, spec.lattice.basis))
-        elif d == 1:
-            # the plane needs two columns; only an unvalidated spec gets
-            # here, as a valid ring of dimension 1 has a trivial class group
-            counts, _ = _walk_runs(r, q, cg, grows)
-        else:
-            counts = _plane_runs(r, q, cg, grows)
-        shift = class_of(cg, WeilDivisor(k))
-        nfree = cg.free_rank
-        shifted = [
-            (cg.add(ClassElement(key[:nfree], key[nfree:]), shift), n)
-            for key, n in counts.items()
-        ]
-        summands = dict(sorted(shifted, key=lambda kv: (kv[0].free, kv[0].torsion)))
-    return FrobeniusDecomposition(spec, ctx, divisor, summands, rows)
+    grows, repeats = spec.pairings, 1
+    if spec.dim == 1:
+        # the plane needs two columns; only an unvalidated spec gets here,
+        # as a valid ring of dimension 1 has a trivial class group.  A zero
+        # column changes no floor, so it repeats every coset q times.
+        grows, repeats = [(*row, 0) for row in grows], q
+    counts = _plane_runs(r, q, cg, grows)
+    shift = class_of(cg, WeilDivisor(k))
+    nfree = cg.free_rank
+    shifted = [
+        (cg.add(ClassElement(key[:nfree], key[nfree:]), shift), n // repeats)
+        for key, n in counts.items()
+    ]
+    summands = dict(sorted(shifted, key=lambda kv: (kv[0].free, kv[0].torsion)))
+    return FrobeniusDecomposition(spec, ctx, divisor, summands)
 
 
 class _Fractions(dict):
@@ -197,37 +183,44 @@ class _Fractions(dict):
         return value
 
 
-def _walk_runs(r, q, cg, grows, detail=None):
-    """Class coordinates of the cosets c in [0, q)^d, counted with
-    multiplicity, for a base divisor r with 0 <= r_i < q, in Python
-    integers; with ``detail = (k, basis)`` also the per-coset pairs
-    (representative c.B/q, summand divisor of q*k + r) in lexicographic
-    order of c.
+def coset_rows(
+    spec: RingSpec,
+    divisor: WeilDivisor,
+    ctx: FrobeniusContext,
+    *,
+    cap: int | None = None,
+):
+    """The cosets of L in (1/q)L one at a time, as pairs (representative,
+    summand divisor) in lexicographic order of c in [0, q)^d: the
+    representative is c.B/q, B the lattice basis, a tuple of Fractions, and
+    the summand divisor has the coefficients floor((c.g_i + a_i) / q).  The
+    divisor length and the cap are checked at the call, before any row.
 
     The prefix rows c' run in lexicographic order and the last coordinate t
     innermost.  Facet i takes the value base_i + g_i*t there, and its floor
     over q moves at no more than |g_i| values of t, found from base_i mod q;
-    when sum |g_i| + 1 >= q every t is its own run.  Each run adds its class
-    once, weighted by its length.  A bounded cache maps each floor vector to
-    its class, projected with the rows of ``_projection_split``, and, for
-    ``detail``, to the one summand divisor that the runs with those floors
-    share; each distinct numerator gets one shared Fraction.
+    when sum |g_i| + 1 >= q every t is its own run.  The cosets of one run
+    share one summand divisor, and each distinct numerator one Fraction, so
+    a consumer that keeps no row holds O(q) objects, not q^d.
     """
-    free_rows, torsion_rows, mods = _projection_split(cg)
+    q = _coset_space(spec, divisor, ctx, cap)
+    return itertools.chain.from_iterable(_prefix_rows(spec, divisor.coeffs, q))
+
+
+def _prefix_rows(spec: RingSpec, a, q: int):
+    """Per prefix row c' of ``coset_rows``, the iterator of its q rows."""
+    grows = spec.pairings
     g_in = [row[-1] for row in grows]
     g_out = [row[:-1] for row in grows]
     steps = [(i, gi) for i, gi in enumerate(g_in) if gi]
     dense = sum(abs(gi) for gi in g_in) + 1 >= q
-    if detail is not None:
-        k, basis = detail
-        *b_out, b_in = basis.to_rows()
-        b_out = [[row[j] for row in b_out] for j in range(len(b_in))]
-        fractions = _Fractions(q)
-        rows = []
-    seen, shared = {}, None
-    counts: dict[tuple, int] = {}
-    for prefix in itertools.product(range(q), repeat=len(grows[0]) - 1):
-        base = [sum(map(operator.mul, prefix, go)) + ri for go, ri in zip(g_out, r)]
+    *b_out, b_in = spec.lattice.basis.to_rows()
+    b_out = [[row[j] for row in b_out] for j in range(len(b_in))]
+    fractions = _Fractions(q)
+    for prefix in itertools.product(range(q), repeat=spec.dim - 1):
+        base = [
+            sum(map(operator.mul, prefix, go)) + ai for go, ai in zip(g_out, a)
+        ]
         if dense:
             starts = list(range(q))
         else:
@@ -241,34 +234,17 @@ def _walk_runs(r, q, cg, grows, detail=None):
             starts = sorted(t for t in cuts if t < q)
         run_divisors = []
         for t0, t1 in zip(starts, starts[1:] + [q]):
-            floors = tuple([(b + gi * t0) // q for b, gi in zip(base, g_in)])
-            hit = seen.get(floors)
-            if hit is None:
-                if len(seen) >= _WALK_CACHE:
-                    seen.clear()
-                key = [sum(map(operator.mul, row, floors)) for row in free_rows]
-                key += [
-                    sum(map(operator.mul, row, floors)) % n
-                    for row, n in zip(torsion_rows, mods)
-                ]
-                if detail is not None:
-                    shared = WeilDivisor(tuple(map(operator.add, floors, k)))
-                hit = seen[floors] = (tuple(key), shared)
-            key, shared = hit
-            counts[key] = counts.get(key, 0) + t1 - t0
-            if detail is not None:
-                run_divisors += [shared] * (t1 - t0)
-        if detail is not None:
-            columns = []
-            for step, col in zip(b_in, b_out):
-                start = sum(map(operator.mul, prefix, col))
-                if step:
-                    nums = range(start, start + q * step, step)
-                    columns.append(map(fractions.__getitem__, nums))
-                else:
-                    columns.append(itertools.repeat(fractions[start], q))
-            rows.extend(zip(zip(*columns), run_divisors))
-    return counts, (tuple(rows) if detail is not None else None)
+            summand = WeilDivisor([(b + gi * t0) // q for b, gi in zip(base, g_in)])
+            run_divisors += [summand] * (t1 - t0)
+        columns = []
+        for step, col in zip(b_in, b_out):
+            start = sum(map(operator.mul, prefix, col))
+            if step:
+                nums = range(start, start + q * step, step)
+                columns.append(map(fractions.__getitem__, nums))
+            else:
+                columns.append(itertools.repeat(fractions[start], q))
+        yield zip(zip(*columns), run_divisors)
 
 
 def _floor_sum(n, m, a, b) -> int:
@@ -507,18 +483,11 @@ def multiplicity_of(dec: FrobeniusDecomposition, c: ClassElement) -> int:
     return dec.summands.get(c, 0)
 
 
-def simultaneous_torsion_count(
-    dec: FrobeniusDecomposition,
-    cg: ClassGroupData | None = None,
-    cap: int | None = None,
-) -> int:
-    """Total multiplicity over all torsion classes, at most q^d, with
-    equality exactly when the class group is finite."""
-    if cg is None:
-        cg = class_group(dec.spec)
-    return sum(
-        multiplicity_of(dec, c) for c in torsion_elements(cg, resolve_cap(cap))
-    )
+def simultaneous_torsion_count(dec: FrobeniusDecomposition) -> int:
+    """Total multiplicity over all torsion classes, those with no free
+    part: at most q^d, with equality exactly when the class group is
+    finite."""
+    return sum(n for c, n in dec.summands.items() if not any(c.free))
 
 
 def box_count_oracle(

@@ -21,6 +21,7 @@ from fractions import Fraction
 from .divisors import CapExceededError, WeilDivisor, class_group
 from .frobenius import (
     FrobeniusContext,
+    coset_rows,
     decompose,
     free_rank,
     simultaneous_torsion_count,
@@ -62,8 +63,7 @@ def verify_ring(
     Witness rows cover e = 1..e_max, skipping q above ``q_max`` when given;
     enumeration-cap overruns propagate with the ring named.
     """
-    cg = class_group(spec)
-    torsion = cg.torsion_cardinality
+    torsion = class_group(spec).torsion_cardinality
     exact = exact_signature_volume(spec).value
     witnesses = []
     try:
@@ -75,7 +75,7 @@ def verify_ring(
                 spec, WeilDivisor((0,) * spec.num_facets), ctx, cap=cap
             )
             a_e = free_rank(dec)
-            n_e = simultaneous_torsion_count(dec, cg, cap=cap)
+            n_e = simultaneous_torsion_count(dec)
             witnesses.append(
                 WitnessRow(e, ctx.q, a_e, Fraction(a_e, dec.rank), n_e, dec.rank)
             )
@@ -227,18 +227,15 @@ def violation_bundle(verdict: TheoremVerdict, spec: RingSpec) -> dict:
     for w in verdict.witnesses:
         if w.rank > 4096:
             continue
-        dec = decompose(
-            spec,
-            WeilDivisor((0,) * spec.num_facets),
-            FrobeniusContext(verdict.p, w.e),
-            detail=True,
+        rows = coset_rows(
+            spec, WeilDivisor((0,) * spec.num_facets), FrobeniusContext(verdict.p, w.e)
         )
         detail_rows.append(
             {
                 "e": w.e,
                 "cosets": [
                     {"w": [str(x) for x in rep], "divisor": list(div.coeffs)}
-                    for rep, div in dec.detail
+                    for rep, div in rows
                 ],
             }
         )

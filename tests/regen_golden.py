@@ -108,6 +108,16 @@ def commands() -> list[list[str]]:
         ["decompose", "--builtin", "an:3", "-p", "7", "-e", "1", "--divisor", "1,0",
          "--detail", "--format", "json"],
     ]
+    # --detail past one 4096-row output block
+    for fmt in ("text", "json"):
+        out.append(["decompose", "--builtin", "quadric", "-p", "2", "-e", "5",
+                    "--divisor=3,-7,11,2", "--detail", "--format", fmt])
+    out += [
+        ["decompose", "--builtin", "an:7", "-p", "2", "-e", "7", "--divisor=5,-9",
+         "--detail", "--format", "json"],
+        ["decompose", "--ring", "mixed.json", "-p", "17", "-e", "1",
+         "--divisor=1,-2,3,-4,5", "--detail"],
+    ]
     # bad input: exit 2
     for command in ("classgroup", "fsig", "decompose"):
         out += [[command, "--builtin", token] for token in
@@ -131,6 +141,10 @@ def commands() -> list[list[str]]:
         ["decompose", "--builtin", "an:3", "-e", "0"],
         ["decompose", "--builtin", "an:3", "--divisor", "a,b"],
         ["decompose", "--builtin", "an:3", "--divisor", "1"],
+        ["decompose", "--builtin", "an:3", "--divisor", ""],
+        ["fsig", "--builtin", "an:3", "--divisor", ""],
+        ["verify", "--corpus", "--builtin", "an:3"],
+        ["verify", "--corpus", "--ring", "klein.json"],
         ["decompose", "--builtin", "an:3", "--cap", "-1"],
         ["verify", "--builtin", "an:3", "-p", "3", "--q-max", "2"],
         ["verify", "--builtin", "an:3", "-p", "x"],
@@ -141,6 +155,8 @@ def commands() -> list[list[str]]:
         ["verify", "--builtin", "poly:5", "-p", "2", "-e", "1"],
         ["verify", "--builtin", "an:3", "--out", "missing/report.txt"],
     ]
+    # a torsion subgroup past the cap, summed without listing its classes
+    out.append(["verify", "--builtin", "an:100000", "-p", "2", "-e", "2", "--cap", "50000"])
     # cap overruns: exit 3
     out += [
         ["decompose", "--builtin", "quadric", "-p", "2", "-e", "5", "--cap", "100"],

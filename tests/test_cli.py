@@ -329,6 +329,65 @@ def test_verify_requires_a_ring_source():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("ring", [["--builtin", "an:3"], ["--builtin", ""],
+                                  ["--ring", "ring.json"]])
+def test_verify_corpus_refuses_a_ring(ring):
+    # --corpus runs the built-in corpus, so a ring beside it would be dropped
+    code, out, err = _run_in_process(["verify", "--corpus", *ring, "-p", "2", "-e", "1"])
+    assert code == 2 and out == ""
+    assert "verify --corpus takes no --builtin or --ring" in err
+
+
+@pytest.mark.parametrize("command", ["fsig", "decompose"])
+def test_empty_divisor_exits_2(command):
+    # an empty --divisor is a bad divisor, not the default one
+    assert _run_in_process([command, "--builtin", "an:3", "--divisor", ""]) == (
+        2, "", "error: bad divisor ''; expected comma-separated integers\n"
+    )
+
+
+def test_verify_counts_torsion_without_listing_the_classes():
+    # n_e sums the summands with no free part, so a torsion subgroup past the
+    # cap does not stop a count of q^d cosets within it
+    for argv in (["--builtin", f"an:{2**62}", "-p", "3", "-e", "2"],
+                 ["--builtin", "an:100000", "-p", "2", "-e", "2", "--cap", "50000"]):
+        code, out, err = _run_in_process(["verify", *argv, "--format", "json"])
+        assert code == 0, err
+        (verdict,) = json.loads(out)["verdicts"]
+        assert verdict["equality"]
+        assert [w["n_e"] for w in verdict["witnesses"]] == [
+            w["rank"] for w in verdict["witnesses"]
+        ]
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_detail_streams_its_rows(fmt):
+    # --detail writes the q^d = 32768 coset rows of quadric at q = 32 as
+    # they are listed, one 4096-row block at a time: the traced peak stays
+    # below 2.5 MB over the plain count's, where holding every row before
+    # the first write took 4.6 MB in text and 5.4 MB in json
+    import tracemalloc
+
+    argv = ["decompose", "--builtin", "quadric", "-p", "2", "-e", "5",
+            "--divisor=3,-7,11,2", "--format", fmt]
+    peaks = []
+    for extra in ([], ["--detail"]):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(_Discard()):
+                assert main(argv + extra) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    plain, detail = peaks
+    assert detail < plain + 3_500_000, peaks
+
+
 def test_main_callable_in_process(capsys):
     code = main(["classgroup", "--builtin", "an:2"])
     assert code == 0
@@ -573,7 +632,7 @@ def _ring_files(argv, tmp_path):
 )
 def test_command_does_not_load_numpy(argv, tmp_path):
     # no command loads numpy: the plane counts every plain count, dense or
-    # sparse, the walk lists the detail, both in Python integers
+    # sparse, and coset_rows lists the detail, both in Python integers
     rc, modules, err = _main_loads(_ring_files(argv, tmp_path))
     assert rc == 0, err
     assert "numpy" not in modules
@@ -633,16 +692,20 @@ def test_start_up_loads_no_dataclasses_or_inspect(body):
 )
 def test_plain_counts_never_walk(call):
     # every plain count takes the plane, the small ones of an:3 and of the
-    # dense ring as well as the dense ring at q = 32: none walks
+    # dense ring as well as the dense ring at q = 32: none lists the cosets,
+    # through any module that bound coset_rows
     result, modules, err = _fresh(
+        "import sys\n"
         "import toricfsig.frobenius as fr\n"
         "from toricfsig.fsignature import signature_sequence\n"
         "from toricfsig.rings import parse_builtin, ring_from_dict\n"
         "from toricfsig.verify import run_corpus\n"
         f"dense = ring_from_dict({DENSE!r})\n"
         "walks = []\n"
-        "real = fr._walk_runs\n"
-        "fr._walk_runs = lambda *a: walks.append(a[1]) or real(*a)\n"
+        "real = fr.coset_rows\n"
+        "for name, mod in list(sys.modules.items()):\n"
+        "    if name.startswith('toricfsig') and getattr(mod, 'coset_rows', 0) is real:\n"
+        "        mod.coset_rows = lambda *a, **k: walks.append(a[2]) or real(*a, **k)\n"
         f"result = [{call}, walks]"
     )
     assert result is not None, err
@@ -701,14 +764,15 @@ def test_verify_empty_prime_list_exits_2():
 def _old_detail_rendering(argv):
     from toricfsig.cli import _class_label, build_parser, _resolve_ring
     from toricfsig.divisors import WeilDivisor
-    from toricfsig.frobenius import FrobeniusContext, decompose
+    from toricfsig.frobenius import FrobeniusContext, coset_rows, decompose
 
     args = build_parser().parse_args(argv)
     spec = _resolve_ring(args)
     coeffs = (tuple(int(x) for x in args.divisor.split(",")) if args.divisor
               else (0,) * spec.num_facets)
     ctx = FrobeniusContext(args.p, args.e)
-    dec = decompose(spec, WeilDivisor(coeffs), ctx, detail=True)
+    dec = decompose(spec, WeilDivisor(coeffs), ctx)
+    rows = list(coset_rows(spec, WeilDivisor(coeffs), ctx))
     items = sorted(dec.summands.items(), key=lambda kv: (kv[0].free, kv[0].torsion))
     if args.format == "json":
         doc = {
@@ -717,14 +781,14 @@ def _old_detail_rendering(argv):
             "summands": [{"free": list(c.free), "torsion": list(c.torsion),
                           "multiplicity": n} for c, n in items],
             "cosets": [{"w": [str(x) for x in w], "divisor": list(d.coeffs)}
-                       for w, d in dec.detail],
+                       for w, d in rows],
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     lines = [f"ring: {spec.name}  p={args.p} e={args.e} q={ctx.q}  rank={dec.rank}",
              f"base divisor: {list(coeffs)}"]
     lines += [f"  class {_class_label(c)}: {n}" for c, n in items]
     lines += [f"    w=({', '.join(map(str, w))})  divisor={list(d.coeffs)}"
-              for w, d in dec.detail]
+              for w, d in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -809,21 +873,23 @@ def test_option_values_exit_0_2_or_3_without_traceback(case):
 
 
 def test_detail_csv_builds_no_rows(monkeypatch):
-    # csv prints only class,multiplicity, so --detail must not ask for rows
+    # csv prints only class,multiplicity, so --detail must not ask for rows;
+    # every run counts the summands with one decompose call
     import toricfsig.cli as cli_mod
 
     calls = []
-    real = cli_mod.decompose
-    monkeypatch.setattr(
-        cli_mod, "decompose",
-        lambda *a, **k: calls.append(k["detail"]) or real(*a, **k),
-    )
+    for name in ("decompose", "coset_rows"):
+        real = getattr(cli_mod, name)
+        monkeypatch.setattr(
+            cli_mod, name,
+            lambda *a, _name=name, _real=real, **k: calls.append(_name) or _real(*a, **k),
+        )
     argv = ["decompose", "--builtin", "quadric", "-p", "3", "-e", "2",
             "--divisor=5,-7,100000000000000000000000,0", "--format", "csv"]
     plain = _run_in_process(argv)
     detail = _run_in_process(argv + ["--detail"])
     assert detail == plain and plain[0] == 0
-    assert calls == [False, False]
+    assert calls == ["decompose", "decompose"]
     for fmt in ("json", "text"):
         assert _run_in_process(argv[:-1] + [fmt, "--detail"])[0] == 0
-    assert calls == [False, False, True, True]
+    assert calls == ["decompose"] * 2 + ["decompose", "coset_rows"] * 2

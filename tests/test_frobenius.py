@@ -16,6 +16,7 @@ from toricfsig.divisors import (
 from toricfsig.frobenius import (
     FrobeniusContext,
     box_count_oracle,
+    coset_rows,
     decompose,
     free_rank,
     multiplicity_of,
@@ -60,15 +61,16 @@ def test_quadric_cone_coset_count_hand_enumeration():
     # (0,0), (1/2,1/2), (0,1), (1/2,3/2); the first two give the trivial
     # summand, the last two the nontrivial class
     spec = parse_builtin("an:2")
-    dec = decompose(spec, zero_divisor(spec), FrobeniusContext(2, 1), detail=True)
-    reps = {w for w, _ in dec.detail}
+    dec = decompose(spec, zero_divisor(spec), FrobeniusContext(2, 1))
+    rows = list(coset_rows(spec, zero_divisor(spec), FrobeniusContext(2, 1)))
+    reps = {w for w, _ in rows}
     assert reps == {
         (F(0), F(0)),
         (F(1, 2), F(1, 2)),
         (F(0), F(1)),
         (F(1, 2), F(3, 2)),
     }
-    summand_by_rep = {w: d.coeffs for w, d in dec.detail}
+    summand_by_rep = {w: d.coeffs for w, d in rows}
     assert summand_by_rep[(F(0), F(0))] == (0, 0)
     assert summand_by_rep[(F(1, 2), F(1, 2))] == (0, 0)
     assert summand_by_rep[(F(0), F(1))] == (0, 1)
@@ -154,6 +156,12 @@ def test_simultaneous_torsion_count():
     dec = decompose(quadric, zero_divisor(quadric), ctx)
     assert simultaneous_torsion_count(dec) == free_rank(dec)
     assert simultaneous_torsion_count(dec) <= ctx.q**3
+    # free rank 2 and torsion (Z/2)^2: the sum over the listed torsion classes
+    mixed = ring_from_dict(MIXED)
+    dec = decompose(mixed, WeilDivisor((3, -1, 4, 1, -5)), FrobeniusContext(3, 2))
+    torsion = torsion_elements(class_group(mixed))
+    assert simultaneous_torsion_count(dec) == sum(multiplicity_of(dec, c) for c in torsion)
+    assert 0 < simultaneous_torsion_count(dec) < sum(dec.summands.values())
 
 
 def test_twisted_decomposition_summand_identity():
@@ -166,9 +174,9 @@ def test_twisted_decomposition_summand_identity():
                 d1 = WeilDivisor((rng.randint(-5, 5), rng.randint(-5, 5)))
                 d2 = WeilDivisor((rng.randint(-5, 5), rng.randint(-5, 5)))
                 ctx = FrobeniusContext(p, 2)
-                base = decompose(spec, d1, ctx, detail=True)
-                twisted = decompose(spec, d1 + ctx.q * d2, ctx, detail=True)
-                for (w1, s1), (w2, s2) in zip(base.detail, twisted.detail):
+                base = coset_rows(spec, d1, ctx)
+                twisted = coset_rows(spec, d1 + ctx.q * d2, ctx)
+                for (w1, s1), (w2, s2) in zip(base, twisted, strict=True):
                     assert w1 == w2
                     assert s1 + d2 == s2
 
@@ -177,9 +185,9 @@ def test_partition_independence():
     spec = parse_builtin("an:3")
     d = WeilDivisor((2, -1))
     ctx = FrobeniusContext(3, 2)
-    reference = decompose(spec, d, ctx, detail=True)
+    reference, _ = decompose_reference(spec, d, ctx.q)
     dec = decompose(spec, d, ctx)
-    assert dec.summands == reference.summands
+    assert dec.summands == reference
     assert list(dec.summands) == sorted(
         dec.summands, key=lambda c: (c.free, c.torsion)
     )
@@ -190,9 +198,9 @@ def test_detail_classes_match_summand_counts():
         spec = parse_builtin(token)
         cg = class_group(spec)
         ctx = FrobeniusContext(2, 1)
-        dec = decompose(spec, zero_divisor(spec), ctx, detail=True)
+        dec = decompose(spec, zero_divisor(spec), ctx)
         recount = {}
-        for _, summand in dec.detail:
+        for _, summand in coset_rows(spec, zero_divisor(spec), ctx):
             c = class_of(cg, summand)
             recount[c] = recount.get(c, 0) + 1
         assert recount == dec.summands
@@ -283,12 +291,17 @@ def test_cap_errors():
         decompose(spec, zero_divisor(spec), FrobeniusContext(2, 4), cap=100)
     with pytest.raises(CapExceededError):
         box_count_oracle(spec, FrobeniusContext(2, 4), cap=100)
+    # coset_rows checks the cap at the call, before any row is asked for
+    with pytest.raises(CapExceededError):
+        coset_rows(spec, zero_divisor(spec), FrobeniusContext(2, 4), cap=100)
 
 
 def test_decompose_argument_checks():
     spec = parse_builtin("an:2")
     with pytest.raises(ValueError):
         decompose(spec, WeilDivisor((1, 2, 3)), FrobeniusContext(2, 1))
+    with pytest.raises(ValueError):
+        coset_rows(spec, WeilDivisor((1, 2, 3)), FrobeniusContext(2, 1))
 
 
 def test_coset_representatives_are_canonical():
@@ -297,9 +310,8 @@ def test_coset_representatives_are_canonical():
     for token in ["an:3", "veronese:2", "quadric"]:
         spec = parse_builtin(token)
         ctx = FrobeniusContext(2, 1)
-        dec = decompose(spec, zero_divisor(spec), ctx, detail=True)
         seen = []
-        for w, _ in dec.detail:
+        for w, _ in coset_rows(spec, zero_divisor(spec), ctx):
             scaled = tuple(x * ctx.q for x in w)
             assert all(x.denominator == 1 for x in scaled)
             coeffs = spec.lattice.coefficients_of(tuple(int(x) for x in scaled))
@@ -319,8 +331,11 @@ def test_nonzero_divisor_plane_matches_walk():
             d = WeilDivisor(tuple(rng.randint(-7, 7) for _ in range(m)))
             ctx = FrobeniusContext(2, 2)
             fast = decompose(spec, d, ctx)
-            slow = decompose(spec, d, ctx, detail=True)
-            assert fast.summands == slow.summands
+            slow = {}
+            for _, summand in coset_rows(spec, d, ctx):
+                c = class_of(spec.class_group, summand)
+                slow[c] = slow.get(c, 0) + 1
+            assert fast.summands == slow
 
 
 # k[x,y,z] invariants of the (Z/2)^2 generated by diag(-1,-1,1) and
@@ -433,32 +448,45 @@ def test_huge_coefficients_match_pure():
     _runs_vs_pure(klein, WeilDivisor((2**64, -(2**70) - 3, 5)), FrobeniusContext(2, 2))
 
 
-def test_one_dimensional_plain_count_walks():
-    # facets x and 2x on Z: validate refuses the redundant facet, and the
-    # class group Z^2 / (1, 2)Z is Z, so a plain count cannot take the
-    # shortcut, nor the plane, which needs two columns
-    spec = RingSpec(
+def test_one_dimensional_plain_count_pads_the_plane():
+    # facets x and 2x on Z, and 1, -2/3, 5/3 on 3Z: validate refuses both,
+    # and their class groups Z and Z^2 are not trivial, so a plain count
+    # cannot take the shortcut; the plane counts them with a zero column
+    # added, which repeats every coset q times
+    line = RingSpec(
         "line", Lattice(IntMat.from_rows([[1]])),
         (FacetFunctional((F(1),)), FacetFunctional((F(2),))),
     )
-    assert validate(spec)
-    cg = class_group(spec)
-    assert (cg.free_rank, cg.invariant_factors) == (1, ())
-    for ctx in (FrobeniusContext(2, 2), FrobeniusContext(3, 2)):
-        for coeffs in ((0, 0), (3, -5), (-7, 11), (-(2**64), 2**63 + 1)):
-            _runs_vs_pure(spec, WeilDivisor(coeffs), ctx)
+    line3 = RingSpec(
+        "line3", Lattice(IntMat.from_rows([[3]])),
+        (FacetFunctional((F(1),)), FacetFunctional((F(-2, 3),)),
+         FacetFunctional((F(5, 3),))),
+    )
+    for spec, free in ((line, 1), (line3, 2)):
+        assert validate(spec)
+        cg = class_group(spec)
+        assert (cg.free_rank, cg.invariant_factors) == (free, ())
+        for p, e in ((2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 6)):
+            ctx = FrobeniusContext(p, e)
+            m = spec.num_facets
+            for coeffs in ((0,) * m, (3, -5, 8)[:m], (-7, 11, -1)[:m],
+                           (-(2**64), 2**63 + 1, 3**50)[:m]):
+                _runs_vs_pure(spec, WeilDivisor(coeffs), ctx)
 
 
 def test_large_divisor_stays_off_the_big_int_path(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("big-int path reached")
-
+    # the plane counts the reduced divisor 0 <= r < q, never 10^20 itself
     spec = parse_builtin("quadric")
     ctx = FrobeniusContext(2, 6)
     cg = class_group(spec)
     r = decompose(spec, WeilDivisor((10**20 % 64, 0, 0, 0)), ctx)
-    monkeypatch.setattr(frobenius, "_walk_runs", refuse)
+    seen = []
+    plane = frobenius._plane_runs
+    monkeypatch.setattr(
+        frobenius, "_plane_runs", lambda r, q, *a: seen.append((r, q)) or plane(r, q, *a)
+    )
     dec = decompose(spec, WeilDivisor((10**20, 0, 0, 0)), ctx)
+    assert seen == [((10**20 % 64, 0, 0, 0), 64)]
     assert sum(dec.summands.values()) == ctx.q**3
     shift = class_of(cg, WeilDivisor((10**20 // 64, 0, 0, 0)))
     assert dec.summands == {cg.add(c, shift): n for c, n in r.summands.items()}
@@ -480,17 +508,9 @@ def test_overflowing_pairings_use_the_big_int_path(monkeypatch):
     assert calls == [1] * 6
 
 
-def test_walk_cache_bound_keeps_results(monkeypatch):
-    # a cache of one floor vector is cleared at almost every run
-    monkeypatch.setattr(frobenius, "_WALK_CACHE", 1)
-    cases = (("quadric", FrobeniusContext(2, 3)), ("an:5", FrobeniusContext(3, 2)))
-    for token, ctx in cases:
-        spec = parse_builtin(token)
-        divisor = WeilDivisor(tuple(5 - 4 * i for i in range(spec.num_facets)))
-        _detail_vs_reference(spec, divisor, ctx)
-
-
-DETAIL_RINGS = ["poly:2", "quadric", "an:3", "an:6", "veronese:2", "veronese:5"]
+DETAIL_RINGS = ["poly:2", "quadric", "an:3", "an:5", "an:6", "veronese:2", "veronese:5"]
+# a sparse q past those below, with the divisor 5 - 4i
+DETAIL_SPARSE = {"quadric": FrobeniusContext(2, 3), "an:5": FrobeniusContext(3, 2)}
 
 
 def _detail_divisors(spec, q, rng):
@@ -504,13 +524,13 @@ def _detail_divisors(spec, q, rng):
 
 
 def _detail_vs_reference(spec, divisor, ctx):
-    dec = decompose(spec, divisor, ctx, detail=True)
+    dec = decompose(spec, divisor, ctx)
+    rows = tuple(coset_rows(spec, divisor, ctx))
     summands, detail = decompose_reference(spec, divisor, ctx.q)
     assert dec.summands == summands, (spec.name, divisor, ctx.q)
     assert list(dec.summands) == list(summands)
-    assert isinstance(dec.detail, tuple)
-    assert dec.detail == detail, (spec.name, divisor, ctx.q)
-    for w, summand in dec.detail:
+    assert rows == detail, (spec.name, divisor, ctx.q)
+    for w, summand in rows:
         assert type(w) is tuple and all(type(x) is F for x in w)
         assert type(summand) is WeilDivisor
         assert all(type(x) is int for x in summand.coeffs)
@@ -528,6 +548,9 @@ def test_detail_matches_reference_on_builtins(token):
         ctx = FrobeniusContext(2, 4)
         for divisor in _detail_divisors(spec, ctx.q, rng):
             _detail_vs_reference(spec, divisor, ctx)
+    if token in DETAIL_SPARSE:
+        divisor = WeilDivisor(tuple(5 - 4 * i for i in range(spec.num_facets)))
+        _detail_vs_reference(spec, divisor, DETAIL_SPARSE[token])
 
 
 @pytest.mark.parametrize("ring", [KLEIN, MIXED])
@@ -540,7 +563,7 @@ def test_detail_matches_reference_on_noncyclic_rings(ring):
 
 
 def test_detail_on_the_object_grid():
-    # an:2^62 overflows int64 in G and in the basis; the walk's floors and
+    # an:2^62 overflows int64 in G and in the basis; the listed floors and
     # representative numerators are Python integers
     spec = parse_builtin(f"an:{2**62}")
     assert pairing_matrix(spec).to_rows()[1] == [1, 2**62]
@@ -554,10 +577,11 @@ def test_trivial_class_group_detail():
     spec = parse_builtin("poly:2")
     cg = class_group(spec)
     ctx = FrobeniusContext(3, 1)
-    dec = decompose(spec, WeilDivisor((4, -5)), ctx, detail=True)
+    dec = decompose(spec, WeilDivisor((4, -5)), ctx)
+    rows = list(coset_rows(spec, WeilDivisor((4, -5)), ctx))
     assert dec.summands == {cg.zero(): 9}
-    assert len(dec.detail) == 9
-    assert dec.detail[1] == ((F(0), F(1, 3)), WeilDivisor((1, -2)))
+    assert len(rows) == 9
+    assert rows[1] == ((F(0), F(1, 3)), WeilDivisor((1, -2)))
 
 
 def test_cap_is_checked_before_q_is_formed():
@@ -728,7 +752,7 @@ PRIME_POWERS = {
 
 def test_walk_matches_reference_on_random_rings():
     # valid random rings in d = 2..4: three with non-cyclic torsion and
-    # six more whose last column of G, the axis the detail walk splits at
+    # six more whose last column of G, the axis coset_rows splits at
     # its breakpoints, has mixed signs; at a sparse q (K + 1 < q, K that
     # column's absolute sum) and a dense one
     rng = random.Random(43)
@@ -759,22 +783,18 @@ def test_walk_matches_reference_on_random_rings():
     assert dims == {2, 3, 4}
 
 
-def _kernel_summands(spec, divisor, q):
-    """The summands of D = q*k + r from the walk, which takes the last
-    column innermost, and from the plane, on r; each shifted by the class
-    of k."""
+def _plane_summands(spec, divisor, q):
+    """The summands of D = q*k + r from the plane on r, shifted by the
+    class of k."""
     cg = class_group(spec)
     g = pairing_matrix(spec)
     shift = class_of(cg, WeilDivisor(tuple(a // q for a in divisor.coeffs)))
     r = tuple(a % q for a in divisor.coeffs)
     nfree = cg.free_rank
-    return [
-        {cg.add(ClassElement(key[:nfree], key[nfree:]), shift): n for key, n in counts.items()}
-        for counts in (
-            frobenius._walk_runs(r, q, cg, g.to_rows())[0],
-            frobenius._plane_runs(r, q, cg, g.to_rows()),
-        )
-    ]
+    counts = frobenius._plane_runs(r, q, cg, g.to_rows())
+    return {
+        cg.add(ClassElement(key[:nfree], key[nfree:]), shift): n for key, n in counts.items()
+    }
 
 
 def test_plain_walk_matches_plane_on_random_rings():
@@ -782,7 +802,7 @@ def test_plain_walk_matches_plane_on_random_rings():
     # free rank > 0 and some with non-cyclic torsion, at a dense q (K + 1 >=
     # q, K the least absolute column sum of G) and a sparse one, with
     # coefficients of both signs; the least-K column, the plane's t, is not
-    # the last one, the walk's t, in some of them
+    # the last one, the listing's t, in some of them
     rng = random.Random(59)
     want = {(2, "plain"): 2, (3, "plain"): 1, (3, "free"): 1, (3, "noncyclic"): 1,
             (4, "free"): 1, (4, "noncyclic"): 1, (5, "plain"): 1}
@@ -812,9 +832,7 @@ def test_plain_walk_matches_plane_on_random_rings():
                 for _ in range(spec.num_facets)
             ))
             expected, _ = decompose_reference(spec, divisor, q)
-            walk, plane = _kernel_summands(spec, divisor, q)
-            assert walk == expected, (spec, divisor, q)
-            assert plane == expected, (spec, divisor, q)
+            assert _plane_summands(spec, divisor, q) == expected, (spec, divisor, q)
     assert moved >= 3
 
 
@@ -863,16 +881,15 @@ def test_plane_matches_reference_on_random_rings(monkeypatch):
                 for _ in range(spec.num_facets)
             ))
             expected, _ = decompose_reference(spec, divisor, q)
-            walk, plane = _kernel_summands(spec, divisor, q)
+            plane = _plane_summands(spec, divisor, q)
             assert plane == expected, (spec, divisor, q)
-            assert walk == expected, (spec, divisor, q)
             assert sum(plane.values()) == q**d
             # a split bound of 0 makes the plane split the s-axis at any q,
             # also where it takes every s as an interval of its own
             floor_sums.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(frobenius, "_split_bound", lambda *a: 0)
-                _, split = _kernel_summands(spec, divisor, q)
+                split = _plane_summands(spec, divisor, q)
             assert split == expected, (spec, divisor, q)
         # rings whose sparse q the split plane counts over s-intervals of
         # several values, with floor sums

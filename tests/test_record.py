@@ -43,7 +43,7 @@ FIELDS = {
     ClassGroupData: {"free_rank": 0, "invariant_factors": (3,), "projection": M},
     FrobeniusContext: {"p": 3, "e": 2},
     FrobeniusDecomposition: {"spec": SPEC, "ctx": CTX, "base_divisor": WeilDivisor((0, 0)),
-                             "summands": {}, "detail": ()},
+                             "summands": {}},
     FSignatureEstimate: {"ctx": CTX, "a_e": 3, "s_e": Fraction(3, 4)},
     ExactFSignature: {"value": Fraction(1, 3), "method": "singh_formula"},
     ConvergenceRow: {"e": 1, "q": 2, "s_e": Fraction(1, 2), "deviation": None,
@@ -60,8 +60,7 @@ FIELDS = {
     CorpusError: {"ring": "r", "p": 2, "kind": "cap", "message": "m"},
     CorpusReport: {"verdicts": (), "errors": ()},
 }
-DEFAULTS = {RingSpec: {"family": None, "params": ()},
-            FrobeniusDecomposition: {"detail": None}}
+DEFAULTS = {RingSpec: {"family": None, "params": ()}}
 TYPES = pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
 
 
