@@ -15,6 +15,7 @@ import argparse
 import itertools
 import json
 import sys
+from fractions import Fraction
 
 from .divisors import CapExceededError, WeilDivisor, class_group
 from .frobenius import FrobeniusContext, coset_rows, decompose, resolve_cap
@@ -204,7 +205,7 @@ def cmd_decompose(args) -> int:
             out.write(head + '\n  "cosets": [\n')
             w_row = ',\n      "w": ' + _json_list(spec.dim, '"%s"') + "\n    }"
             d_row = '    {\n      "divisor": ' + _json_list(spec.num_facets, "%s")
-            _write_rows(out, rows, w_row, d_row, ",\n", divisor_first=True)
+            _write_rows(out, rows, ctx.q, w_row, d_row, ",\n", divisor_first=True)
             out.write("\n  ]" + tail + "\n")
         else:
             print(json.dumps(doc, indent=2, sort_keys=True))
@@ -220,7 +221,7 @@ def cmd_decompose(args) -> int:
         if rows is not None:
             w_row = "    w=(" + ", ".join(["%s"] * spec.dim) + ")"
             d_row = "  divisor=[" + ", ".join(["%s"] * spec.num_facets) + "]"
-            _write_rows(out, rows, w_row, d_row, "\n", divisor_first=False)
+            _write_rows(out, rows, ctx.q, w_row, d_row, "\n", divisor_first=False)
             out.write("\n")
     return EXIT_OK
 
@@ -230,27 +231,73 @@ def _json_list(n: int, item: str) -> str:
     return "[\n" + ",\n".join(["        " + item] * n) + "\n      ]"
 
 
+WINDOW = 4096  # rows per write of --detail
+
+
+class _Texts(dict):
+    """n -> str(Fraction(n, q)), the text of a representative coordinate
+    with numerator n, formatted once per distinct n."""
+
+    def __init__(self, q):
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, n):
+        text = self[n] = str(Fraction(n, self.q))
+        return text
+
+
 def _write_rows(
-    out, rows, w_row: str, d_row: str, sep: str, divisor_first: bool
+    out, rows, q: int, w_row: str, d_row: str, sep: str, divisor_first: bool
 ) -> None:
-    """Write one line per coset row (w, divisor) of the iterator ``rows``,
+    """Write one line per coset of the ``coset_rows`` result ``rows``,
     ``w_row % w`` and ``d_row % divisor`` in the given order, joined by
-    ``sep``, in blocks of 4096 rows.  Consecutive rows of one run share
-    their divisor object, whose text is formatted once for the run."""
-    rows = iter(rows)
-    last = d_text = None
-    first = True
-    while block := list(itertools.islice(rows, 4096)):
-        lines = []
-        for w, d in block:
-            if d is not last:
-                last, d_text = d, d_row % d.coeffs
-            w_text = w_row % w
-            lines.append(d_text + w_text if divisor_first else w_text + d_text)
-        if not first:
-            out.write(sep)
-        out.write(sep.join(lines))
-        first = False
+    ``sep``, in windows of at most ``WINDOW`` rows, from its run blocks.
+
+    Per prefix row, the literal text of ``w_row`` around and between the
+    coordinates that move along t is one string each, with the texts of the
+    coordinates that stay put folded in.  A run of n rows formats its
+    divisor once and is one join of n inner texts: the moving coordinate's
+    own when only one moves, else one join per row.  The coordinate texts
+    come from a table, which keeps them where numerators repeat across
+    prefix rows, d >= 2, and is emptied with each window in d = 1, where
+    they do not."""
+    texts = _Texts(q)
+    pieces = w_row.split("%s")
+    window = []
+    room = WINDOW
+    lead = ""
+    for numerators, runs in rows.runs:
+        parts = [pieces[0]]
+        for (start, step), piece in zip(numerators, pieces[1:]):
+            if step:
+                nums = range(start, start + q * step, step)
+                parts += [map(texts.__getitem__, nums), piece]
+            else:
+                parts[-1] += texts[start] + piece
+        head, *middle, tail = parts
+        if len(middle) == 1:
+            inner = middle[0]
+        else:
+            middle[1::2] = map(itertools.repeat, middle[1::2])
+            inner = map("".join, zip(*middle))
+        for n, divisor in runs:
+            d_text = d_row % divisor.coeffs
+            first, last = (d_text + head, tail) if divisor_first else (head, tail + d_text)
+            between = last + sep + first
+            while n:
+                k = min(n, room)
+                window += (lead, first, between.join(itertools.islice(inner, k)), last)
+                lead = sep
+                n -= k
+                room -= k
+                if not room:
+                    out.write("".join(window))
+                    window.clear()
+                    room = WINDOW
+                    if len(numerators) == 1:
+                        texts.clear()
+    out.write("".join(window))
 
 
 def _write_file(path: str, text: str) -> None:

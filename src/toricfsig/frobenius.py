@@ -24,10 +24,11 @@ summand.  One function does each job, both in Python integers:
   interval of its own.  In d = 1 a zero column gives the plane its second
   coordinate.
 - ``coset_rows`` lists.  It yields each coset's representative and summand
-  divisor, visiting the runs one prefix row at a time in lexicographic
-  order, the last coordinate innermost, with one divisor per run and one
-  Fraction per distinct representative numerator.  It takes no classes, and
-  it holds one prefix row at a time, never q^d rows.
+  divisor, a flattening of its run blocks: one prefix row at a time in
+  lexicographic order, the last coordinate innermost, the start and step of
+  each representative numerator along the row and its runs as (length,
+  divisor).  It takes no classes, and it holds one prefix row's runs at a
+  time, never q^d rows, nor q in d = 1.
 
 The box oracle counts the semigroup points of the bounding box of qP a line
 at a time, with no cosets and no classes, so it checks the free rank
@@ -36,6 +37,7 @@ independently of the counter.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -171,25 +173,13 @@ def decompose(
     return FrobeniusDecomposition(spec, ctx, divisor, summands)
 
 
-class _Fractions(dict):
-    """n -> Fraction(n, q), made once per distinct numerator."""
-
-    def __init__(self, q):
-        super().__init__()
-        self.q = q
-
-    def __missing__(self, n):
-        value = self[n] = Fraction(n, self.q)
-        return value
-
-
 def coset_rows(
     spec: RingSpec,
     divisor: WeilDivisor,
     ctx: FrobeniusContext,
     *,
     cap: int | None = None,
-):
+) -> CosetRows:
     """The cosets of L in (1/q)L one at a time, as pairs (representative,
     summand divisor) in lexicographic order of c in [0, q)^d: the
     representative is c.B/q, B the lattice basis, a tuple of Fractions, and
@@ -199,52 +189,124 @@ def coset_rows(
     The prefix rows c' run in lexicographic order and the last coordinate t
     innermost.  Facet i takes the value base_i + g_i*t there, and its floor
     over q moves at no more than |g_i| values of t, found from base_i mod q;
-    when sum |g_i| + 1 >= q every t is its own run.  The cosets of one run
-    share one summand divisor, and each distinct numerator one Fraction, so
-    a consumer that keeps no row holds O(q) objects, not q^d.
+    when sum |g_i| + 1 >= q every t is its own run.  The rows flatten
+    ``CosetRows.runs``, which yields one prefix row at a time as its runs,
+    so a consumer that keeps no row holds O(q) objects, not q^d, and in
+    d = 1, where the one prefix row is every coset, not O(q) either.
     """
     q = _coset_space(spec, divisor, ctx, cap)
-    return itertools.chain.from_iterable(_prefix_rows(spec, divisor.coeffs, q))
+    return CosetRows(_coset_runs(spec, divisor.coeffs, q), q, spec.dim)
 
 
-def _prefix_rows(spec: RingSpec, a, q: int):
-    """Per prefix row c' of ``coset_rows``, the iterator of its q rows."""
+class CosetRows:
+    """The cosets of ``coset_rows``, read once in either of two ways.
+
+    Iterating yields the rows (representative, summand divisor).  ``runs``
+    yields the same cosets one prefix row c' at a time, as a pair
+    (numerators, runs): per coordinate of the representative, the start and
+    step of its numerator c.B along t, and the runs of t in order as pairs
+    (length, summand divisor).
+    """
+
+    def __init__(self, runs, q: int, dim: int):
+        self.runs = runs
+        fraction = functools.partial(Fraction, denominator=q)
+        if dim > 1:
+            # numerators repeat across prefix rows: one Fraction each; in
+            # d = 1 the one prefix row has q distinct ones, and none is kept
+            fraction = _Memo(fraction).__getitem__
+        self._rows = itertools.chain.from_iterable(
+            _block_rows(numerators, row_runs, q, fraction) for numerators, row_runs in runs
+        )
+
+    def __iter__(self):
+        return self._rows
+
+    def __next__(self):
+        return next(self._rows)
+
+
+class _Memo(dict):
+    """key -> make(key), made once per distinct key."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _block_rows(numerators, runs, q, fraction):
+    """The rows of one prefix row of ``CosetRows.runs``."""
+    columns = [
+        map(fraction, range(start, start + q * step, step))
+        if step
+        else itertools.repeat(fraction(start), q)
+        for start, step in numerators
+    ]
+    divisors = itertools.chain.from_iterable(
+        itertools.repeat(summand, n) for n, summand in runs
+    )
+    return zip(zip(*columns), divisors)
+
+
+def _coset_runs(spec: RingSpec, a, q: int):
+    """Per prefix row c' of ``coset_rows``, its numerators and its runs
+    (``CosetRows.runs``).
+
+    One vector carries the facet values at t = 0 and the numerators' starts
+    from row to row.  The runs start where a floor steps, looked up per
+    facet by the residue of its value in a table of at most q entries, and
+    the runs with one floor vector share one divisor: the floors of a facet
+    take at most sum_j |G_ij| + 1 values, so the divisors do not grow in
+    number with q."""
     grows = spec.pairings
+    m = len(grows)
     g_in = [row[-1] for row in grows]
-    g_out = [row[:-1] for row in grows]
-    steps = [(i, gi) for i, gi in enumerate(g_in) if gi]
-    dense = sum(abs(gi) for gi in g_in) + 1 >= q
+    dense = sum(map(abs, g_in)) + 1 >= q
+    cut_tables = [
+        (i, _Memo(functools.partial(_cuts, q, g))) for i, g in enumerate(g_in) if g
+    ]
+    divisors = _Memo(WeilDivisor)
     *b_out, b_in = spec.lattice.basis.to_rows()
-    b_out = [[row[j] for row in b_out] for j in range(len(b_in))]
-    fractions = _Fractions(q)
-    for prefix in itertools.product(range(q), repeat=spec.dim - 1):
-        base = [
-            sum(map(operator.mul, prefix, go)) + ai for go, ai in zip(g_out, a)
-        ]
+    moves = [[row[k] for row in grows] + b_out[k] for k in range(spec.dim - 1)]
+    for row in _affine_rows([*a, *[0] * spec.dim], moves, q):
+        # row: the facet values at t = 0, then the numerator starts
         if dense:
             starts = list(range(q))
         else:
             cuts = {0}
-            for i, gi in steps:
-                rem = base[i] % q
-                if gi > 0:
-                    cuts.update((s * q - rem + gi - 1) // gi for s in range(1, gi + 1))
-                else:
-                    cuts.update((rem + s * q) // -gi + 1 for s in range(-gi))
-            starts = sorted(t for t in cuts if t < q)
-        run_divisors = []
-        for t0, t1 in zip(starts, starts[1:] + [q]):
-            summand = WeilDivisor([(b + gi * t0) // q for b, gi in zip(base, g_in)])
-            run_divisors += [summand] * (t1 - t0)
-        columns = []
-        for step, col in zip(b_in, b_out):
-            start = sum(map(operator.mul, prefix, col))
-            if step:
-                nums = range(start, start + q * step, step)
-                columns.append(map(fractions.__getitem__, nums))
-            else:
-                columns.append(itertools.repeat(fractions[start], q))
-        yield zip(zip(*columns), run_divisors)
+            for i, table in cut_tables:
+                cuts.update(table[row[i] % q])
+            starts = sorted(cuts)
+        runs = [
+            (t1 - t0, divisors[tuple([(b + g * t0) // q for b, g in zip(row, g_in)])])
+            for t0, t1 in zip(starts, starts[1:] + [q])
+        ]
+        yield list(zip(row[m:], b_in)), runs
+
+
+def _cuts(q: int, g: int, rem: int) -> list:
+    """The t in (0, q) where floor((rem + g*t) / q) steps, g != 0."""
+    if g > 0:
+        cuts = [(s * q - rem + g - 1) // g for s in range(1, g + 1)]
+    else:
+        cuts = [(rem + s * q) // -g + 1 for s in range(-g)]
+    return [t for t in cuts if t < q]
+
+
+def _affine_rows(start, moves, q: int):
+    """start + c.moves for c in [0, q)^k in lexicographic order, k the
+    number of moves, as lists."""
+    if not moves:
+        yield start
+        return
+    move, *rest = moves
+    for _ in range(q):
+        yield from _affine_rows(start, rest, q)
+        start = list(map(operator.add, start, move))
 
 
 def _floor_sum(n, m, a, b) -> int:

@@ -45,6 +45,11 @@ I2 = [[1, 0], [0, 1]]
 # that a ring file can reach, and the broken_* ones the file reader
 RING_FILES = {
     "klein.json": json.dumps(KLEIN),
+    # the lattice of KLEIN on a basis whose last row moves every coordinate
+    # along t, one of them down
+    "klein_rebased.json": json.dumps(
+        {**KLEIN, "name": "klein_rebased", "lattice_basis": [[2, 0, 0], [0, 2, 0], [1, -1, 1]]}
+    ),
     "mixed.json": json.dumps(MIXED),
     "dense.json": json.dumps(DENSE),
     "seed197.json": json.dumps(BOX_RING),
@@ -118,6 +123,17 @@ def commands() -> list[list[str]]:
         ["decompose", "--ring", "mixed.json", "-p", "17", "-e", "1",
          "--divisor=1,-2,3,-4,5", "--detail"],
     ]
+    # --detail in d = 1 past one block, at an odd q with reduced fractions,
+    # and with every coordinate moving along t
+    for fmt in ("text", "json"):
+        out += [
+            ["decompose", "--builtin", "poly:1", "-p", "2", "-e", "13", "--detail",
+             "--format", fmt],
+            ["decompose", "--builtin", "veronese:5", "-p", "3", "-e", "4",
+             "--divisor=7,-5", "--detail", "--format", fmt],
+            ["decompose", "--ring", "klein_rebased.json", "-p", "3", "-e", "3",
+             "--detail", "--format", fmt],
+        ]
     # bad input: exit 2
     for command in ("classgroup", "fsig", "decompose"):
         out += [[command, "--builtin", token] for token in

@@ -365,16 +365,11 @@ class _Discard(io.TextIOBase):
         return len(text)
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_detail_streams_its_rows(fmt):
-    # --detail writes the q^d = 32768 coset rows of quadric at q = 32 as
-    # they are listed, one 4096-row block at a time: the traced peak stays
-    # below 2.5 MB over the plain count's, where holding every row before
-    # the first write took 4.6 MB in text and 5.4 MB in json
+def _traced_peaks(argv):
+    """The traced memory peaks of ``main(argv)`` without and with
+    ``--detail``, its output discarded."""
     import tracemalloc
 
-    argv = ["decompose", "--builtin", "quadric", "-p", "2", "-e", "5",
-            "--divisor=3,-7,11,2", "--format", fmt]
     peaks = []
     for extra in ([], ["--detail"]):
         tracemalloc.start()
@@ -384,8 +379,59 @@ def test_detail_streams_its_rows(fmt):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    return peaks
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_detail_streams_its_rows(fmt):
+    # --detail writes the q^d = 32768 coset rows of quadric at q = 32 as
+    # they are listed, one 4096-row block at a time: the traced peak stays
+    # below 2.5 MB over the plain count's, where holding every row before
+    # the first write took 4.6 MB in text and 5.4 MB in json
+    peaks = _traced_peaks(["decompose", "--builtin", "quadric", "-p", "2", "-e", "5",
+                           "--divisor=3,-7,11,2", "--format", fmt])
     plain, detail = peaks
     assert detail < plain + 3_500_000, peaks
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_detail_in_dimension_1_streams_its_rows(fmt):
+    # in d = 1 the one prefix row is every coset, here q = 65536 of them:
+    # the rows still go out a window at a time, with no text, Fraction or
+    # divisor kept per row, where keeping them took 13.6 MB more in text
+    # and 14.2 MB in json
+    peaks = _traced_peaks(["decompose", "--builtin", "poly:1", "-p", "2", "-e", "16",
+                           "--format", fmt])
+    plain, detail = peaks
+    assert detail < plain + 3_500_000, peaks
+
+
+def test_detail_formats_each_numerator_once(monkeypatch):
+    # the 32768 rows of quadric at q = 32 have three coordinates each, with
+    # 32 numerators between them: each numerator's text is made once, where
+    # one Fraction.__str__ per coordinate and row made 98304
+    from fractions import Fraction
+
+    from toricfsig.divisors import WeilDivisor
+    from toricfsig.frobenius import FrobeniusContext, coset_rows
+    from toricfsig.rings import parse_builtin
+
+    formatted = []
+    real = Fraction.__str__
+    monkeypatch.setattr(Fraction, "__str__",
+                        lambda self: formatted.append(self) or real(self))
+    code, out, err = _run_in_process(["decompose", "--builtin", "quadric", "-p", "2",
+                                      "-e", "5", "--detail", "--format", "json"])
+    assert code == 0, err
+    cosets = json.loads(out)["cosets"]
+    numerators = {Fraction(x) * 32 for row in cosets for x in row["w"]}
+    assert len(cosets) == 32**3 and len(numerators) == 32
+    assert len(formatted) == len(set(formatted)) <= len(numerators)
+    # the listing itself still yields Fractions and divisors
+    spec = parse_builtin("quadric")
+    w, d = next(coset_rows(spec, WeilDivisor((0,) * 4), FrobeniusContext(2, 5)))
+    assert w == (0, 0, 0) and all(type(x) is Fraction for x in w)
+    assert type(d) is WeilDivisor
 
 
 def test_main_callable_in_process(capsys):

@@ -304,6 +304,26 @@ def test_decompose_argument_checks():
         coset_rows(spec, WeilDivisor((1, 2, 3)), FrobeniusContext(2, 1))
 
 
+def test_coset_rows_in_dimension_1_keep_no_row():
+    # in d = 1 the one prefix row is every coset: listing q = 65536 of them
+    # keeps neither a Fraction nor a divisor per row, where keeping them
+    # took 12 MB
+    import tracemalloc
+
+    spec = parse_builtin("poly:1")
+    tracemalloc.start()
+    try:
+        rows = coset_rows(spec, WeilDivisor((5,)), FrobeniusContext(2, 16))
+        last = None
+        for last in rows:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert last == ((F(65535, 65536),), WeilDivisor((1,)))
+    assert peak < 1_000_000, peak
+
+
 def test_coset_representatives_are_canonical():
     # scaled by q, every representative is a lattice point whose coefficient
     # vector runs over [0, q)^d exactly once, in lexicographic order
