@@ -6,7 +6,15 @@ JSON definition files via --ring.  Machine formats print rationals as exact
 a/b strings and are byte-deterministic for identical invocations.
 
 Exit codes: 0 success, 1 torsion bound violated (a bug sentinel), 2 bad
-input, 3 enumeration cap exceeded.
+input or an unwritable standard output, 3 enumeration cap exceeded.
+
+``run`` is the entry point of a process (``python -m toricfsig`` and the
+``toricfsig`` script).  It runs ``main``, flushes stdout and stderr and ends
+with ``os._exit``, so the interpreter's teardown never runs; neither do the
+atexit handlers of other code, such as coverage's subprocess mode.  A
+``SystemExit`` from argument parsing (usage errors, ``--help``) still takes
+the normal exit.  ``main(argv)`` returns its code and ends nothing, for
+callers in the same process.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -449,5 +458,26 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
 
 
+def run():
+    """Run ``main`` on the process's arguments, flush, and end the process
+    with its code.  A write to stdout that fails, in ``main`` or in the
+    flush, is one line on stderr and exit 2 (a closed pipe, a full disk);
+    ``os._exit`` keeps the interpreter from reporting it again."""
+    message = ""
+    try:
+        code = main()
+        if sys.stdout is not None:  # None when fd 1 was closed at start
+            sys.stdout.flush()
+    except OSError as exc:
+        code = EXIT_BAD_INPUT
+        message = f"error: cannot write standard output: {exc.strerror or exc}\n"
+    try:
+        sys.stderr.write(message)
+        sys.stderr.flush()
+    except (AttributeError, OSError):
+        pass  # stderr is closed or unwritable too; the code still stands
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -163,13 +163,21 @@ def decompose(
         # column changes no floor, so it repeats every coset q times.
         grows, repeats = [(*row, 0) for row in grows], q
     counts = _plane_runs(r, q, cg, grows)
-    shift = class_of(cg, WeilDivisor(k))
     nfree = cg.free_rank
-    shifted = [
-        (cg.add(ClassElement(key[:nfree], key[nfree:]), shift), n // repeats)
-        for key, n in counts.items()
-    ]
-    summands = dict(sorted(shifted, key=lambda kv: (kv[0].free, kv[0].torsion)))
+    shift = class_of(cg, WeilDivisor(k))
+    if not shift.is_zero:
+        # a translation of the group: the keys stay distinct
+        s = shift.free + shift.torsion
+        mods = (None,) * nfree + cg.invariant_factors
+        counts = {
+            tuple(x + y if m is None else (x + y) % m for x, y, m in zip(key, s, mods)): n
+            for key, n in counts.items()
+        }
+    # the keys are free + torsion, so their order is that of (free, torsion)
+    summands = {
+        ClassElement(key[:nfree], key[nfree:]): n // repeats
+        for key, n in sorted(counts.items())
+    }
     return FrobeniusDecomposition(spec, ctx, divisor, summands)
 
 

@@ -13,7 +13,6 @@ treats it as a distinguished hard failure with a reproduction bundle.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from fractions import Fraction
@@ -197,6 +196,8 @@ CSV_FIELDS = [
 
 
 def report_to_csv(report: CorpusReport) -> str:
+    import csv  # here, not at the top: only --format csv needs it
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
     writer.writeheader()

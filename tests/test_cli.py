@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -14,20 +15,25 @@ from hypothesis import strategies as st
 
 from toricfsig.cli import main
 
-PKG_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+PKG_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
-def run_cli(*args, env_extra=None):
+def cli_env(**extra):
+    """The environment of a child interpreter: the package on its path, no
+    TORICFSIG_CAP, then ``extra``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = PKG_ROOT + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("TORICFSIG_CAP", None)
-    if env_extra:
-        env.update(env_extra)
+    env.update(extra)
+    return env
+
+
+def run_cli(*args, env_extra=None):
     return subprocess.run(
         [sys.executable, "-m", "toricfsig"] + list(args),
         capture_output=True,
         text=True,
-        env=env,
+        env=cli_env(**(env_extra or {})),
     )
 
 
@@ -594,11 +600,8 @@ def _fresh(body):
         f"{body}\n"
         "print(json.dumps([result, sorted(set(sys.modules) - before)]))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = PKG_ROOT + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("TORICFSIG_CAP", None)
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env)
+                         text=True, env=cli_env())
     result, modules = json.loads(res.stdout) if res.returncode == 0 else (None, ())
     return result, set(modules), res.stderr
 
@@ -723,11 +726,65 @@ def test_runs_with_numpy_blocked(body, want):
 )
 def test_start_up_loads_no_dataclasses_or_inspect(body):
     # every command is a fresh process; the records are built without
-    # dataclasses, whose import pulls in inspect, ast, dis and tokenize
+    # dataclasses, whose import pulls in inspect, ast, dis and tokenize,
+    # and csv is imported only by --format csv
     result, modules, err = _fresh(body)
     assert result in (None, 0), err
     assert "toricfsig.cli" in modules
-    assert not modules & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert not modules & {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"}
+
+
+ATEXIT_PROBE = (
+    "import atexit, sys\n"
+    "atexit.register(lambda: sys.stderr.write('atexit ran\\n'))\n"
+    "from toricfsig.cli import run\n"
+    "run()\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, teardown",
+    [(["classgroup", "--builtin", "an:3"], 0, False), (["classgroup"], 2, True)],
+    ids=["returned", "usage-error"],
+)
+def test_run_skips_teardown_unless_argparse_exits(argv, code, teardown):
+    # a code that main returns ends the process through os._exit, after the
+    # flush, so no atexit handler runs; argparse's SystemExit takes the
+    # interpreter's normal exit, handlers included
+    res = subprocess.run([sys.executable, "-c", ATEXIT_PROBE, *argv],
+                         capture_output=True, text=True, env=cli_env())
+    assert res.returncode == code, res.stderr
+    assert ("atexit ran" in res.stderr) == teardown
+    if code == 0:
+        assert "torsion cardinality: 3" in res.stdout
+
+
+@pytest.mark.parametrize("sink", ["closed-pipe", "dev-full"])
+@pytest.mark.parametrize(
+    "argv",
+    [["classgroup", "--builtin", "an:3"],
+     ["decompose", "--builtin", "quadric", "-p", "2", "-e", "5", "--detail",
+      "--format", "json"]],
+    ids=["at-flush", "in-main"],
+)
+def test_unwritable_stdout_exits_2_in_one_line(sink, argv):
+    # the small output fails at run's flush, the 32,768 rows inside main
+    if sink == "closed-pipe":
+        read, fd = os.pipe()
+        os.close(read)
+        reason = os.strerror(errno.EPIPE)
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        fd = os.open("/dev/full", os.O_WRONLY)
+        reason = os.strerror(errno.ENOSPC)
+    try:
+        res = subprocess.run([sys.executable, "-m", "toricfsig", *argv], stdout=fd,
+                             stderr=subprocess.PIPE, text=True, env=cli_env())
+    finally:
+        os.close(fd)
+    assert res.returncode == 2
+    assert res.stderr.splitlines() == [f"error: cannot write standard output: {reason}"]
 
 
 @pytest.mark.parametrize(
