@@ -53,6 +53,9 @@ RING_FILES = {
     "mixed.json": json.dumps(MIXED),
     "dense.json": json.dumps(DENSE),
     "seed197.json": json.dumps(BOX_RING),
+    # facets (1, N) and (N, 1) on Z^2, N = 10^5: each column of G sums past
+    # every q that the commands below use
+    "wide.json": _doc(2, I2, [["1", "100000"], ["100000", "1"]], "wide"),
     "bad_dim0.json": _doc(0, [], []),
     "bad_rank.json": _doc(2, [[1, 0], [2, 0]], [["1", "0"], ["0", "1"]]),
     "bad_integral.json": _doc(2, I2, [["1/2", "0"], ["0", "1"]]),
@@ -134,6 +137,14 @@ def commands() -> list[list[str]]:
             ["decompose", "--ring", "klein_rebased.json", "-p", "3", "-e", "3",
              "--detail", "--format", fmt],
         ]
+    # pairing entries far above q
+    out += [
+        ["decompose", "--ring", "wide.json", "-p", "2", "-e", "2"],
+        ["decompose", "--ring", "wide.json", "-p", "2", "-e", "2", "--divisor=7,-5",
+         "--detail", "--format", "json"],
+        ["verify", "--ring", "wide.json", "-p", "2,3", "-e", "2"],
+        ["fsig", "--ring", "wide.json", "-p", "2", "-e", "3", "--exact"],
+    ]
     # bad input: exit 2
     for command in ("classgroup", "fsig", "decompose"):
         out += [[command, "--builtin", token] for token in
