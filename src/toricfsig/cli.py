@@ -20,6 +20,7 @@ callers in the same process.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 import os
@@ -139,8 +140,7 @@ def cmd_fsig(args) -> int:
     divisor = _parse_divisor(args.divisor, spec) if args.divisor is not None else None
     seq = signature_sequence(spec, args.p, args.e_max, divisor=divisor, cap=args.cap)
     exact = exact_signature_volume(spec) if args.exact else None
-    an_param = spec.params[0] if spec.family == "an_singularity" else None
-    report = convergence_report(seq, exact=exact, an_param=an_param)
+    report = convergence_report(seq, exact=exact)
     if args.format == "json":
         doc = {
             "ring": spec.name,
@@ -185,7 +185,7 @@ def cmd_decompose(args) -> int:
     rows = None
     if args.detail and args.format != "csv":
         rows = coset_rows(spec, divisor, ctx, cap=args.cap)
-    items = sorted(dec.summands.items(), key=lambda kv: (kv[0].free, kv[0].torsion))
+    items = dec.summands.items()
     out = sys.stdout
     if args.format == "json":
         doc = {
@@ -458,16 +458,29 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
 
 
+class _ClosedStdout:
+    """``sys.stdout`` when fd 1 was closed at start: a write fails as one
+    on the closed descriptor would, and nothing is left to flush."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    def flush(self):
+        pass
+
+
 def run():
     """Run ``main`` on the process's arguments, flush, and end the process
     with its code.  A write to stdout that fails, in ``main`` or in the
-    flush, is one line on stderr and exit 2 (a closed pipe, a full disk);
-    ``os._exit`` keeps the interpreter from reporting it again."""
+    flush, is one line on stderr and exit 2 (a closed pipe, a full disk, a
+    closed fd 1); ``os._exit`` keeps the interpreter from reporting it
+    again."""
     message = ""
+    if sys.stdout is None:
+        sys.stdout = _ClosedStdout()
     try:
         code = main()
-        if sys.stdout is not None:  # None when fd 1 was closed at start
-            sys.stdout.flush()
+        sys.stdout.flush()
     except OSError as exc:
         code = EXIT_BAD_INPUT
         message = f"error: cannot write standard output: {exc.strerror or exc}\n"

@@ -10,8 +10,10 @@ integer arithmetic: writing w in lattice coordinates c/q, the coefficient is
 The coset space has q^d elements and dominates the runtime of the whole
 package, so neither job visits the cosets one by one.  With all coordinates
 but one fixed, each facet floor is a step function of the remaining one, t,
-with at most |g_i| steps, so a prefix row splits into runs of constant
-summand.  One function does each job, both in Python integers:
+so a row in t splits into runs of constant summand.  ``_row_scanner``
+finds where the floors move along a row for both jobs, per facet and
+residue mod q from a table of at most min(|g_i|, q - 1) keys, one per t in
+(0, q) where the floor moves.  One function does each job, in Python ints:
 
 - ``decompose`` counts.  It reduces the base divisor to 0 <= r < q first
   (a = q*k + r shifts every summand by k, hence every class by the class
@@ -20,15 +22,14 @@ summand.  One function does each job, both in Python integers:
   the order of the floor steps along t changes.  Inside one s-interval the
   total length of a run is a difference of two floor sums of O(log) steps
   each (``_floor_sum``), so its work stops growing with q once q passes the
-  number of splits.  When the splits could number q, every s is an
-  interval of its own.  In d = 1 a zero column gives the plane its second
-  coordinate.
-- ``coset_rows`` lists.  It yields each coset's representative and summand
-  divisor, a flattening of its run blocks: one prefix row at a time in
-  lexicographic order, the last coordinate innermost, the start and step of
-  each representative numerator along the row and its runs as (length,
-  divisor).  It takes no classes, and it holds one prefix row's runs at a
-  time, never q^d rows, nor q in d = 1.
+  number of splits.  When the splits could number q, and in d = 1, it
+  scans every row instead, adding each jump to a class code.
+- ``coset_rows`` lists.  It scans every row, last coordinate innermost,
+  moving a floor vector by the jumps, and yields each coset's
+  representative and summand divisor, a flattening of its run blocks: the
+  start and step of each representative numerator along the row and its
+  runs as (length, divisor).  It takes no classes, and it holds one row's
+  runs at a time, never q^d rows.
 
 The box oracle counts the semigroup points of the bounding box of qP a line
 at a time, with no cosets and no classes, so it checks the free rank
@@ -95,6 +96,9 @@ class FrobeniusContext(Record):
 
 
 class FrobeniusDecomposition(Record):
+    """The summands of F^e_* R(D): normal-form class -> multiplicity, in
+    order of (free, torsion) coordinates."""
+
     spec: RingSpec
     ctx: FrobeniusContext
     base_divisor: WeilDivisor
@@ -156,13 +160,7 @@ def decompose(
     # so every summand of a is the summand of r plus k
     k = tuple(a // q for a in divisor.coeffs)
     r = tuple(a % q for a in divisor.coeffs)
-    grows, repeats = spec.pairings, 1
-    if spec.dim == 1:
-        # the plane needs two columns; only an unvalidated spec gets here,
-        # as a valid ring of dimension 1 has a trivial class group.  A zero
-        # column changes no floor, so it repeats every coset q times.
-        grows, repeats = [(*row, 0) for row in grows], q
-    counts = _plane_runs(r, q, cg, grows)
+    counts = _plane_runs(r, q, cg, spec.pairings)
     nfree = cg.free_rank
     shift = class_of(cg, WeilDivisor(k))
     if not shift.is_zero:
@@ -174,10 +172,7 @@ def decompose(
             for key, n in counts.items()
         }
     # the keys are free + torsion, so their order is that of (free, torsion)
-    summands = {
-        ClassElement(key[:nfree], key[nfree:]): n // repeats
-        for key, n in sorted(counts.items())
-    }
+    summands = {ClassElement(key[:nfree], key[nfree:]): n for key, n in sorted(counts.items())}
     return FrobeniusDecomposition(spec, ctx, divisor, summands)
 
 
@@ -196,11 +191,10 @@ def coset_rows(
 
     The prefix rows c' run in lexicographic order and the last coordinate t
     innermost.  Facet i takes the value base_i + g_i*t there, and its floor
-    over q moves at no more than |g_i| values of t, found from base_i mod q;
-    when sum |g_i| + 1 >= q every t is its own run.  The rows flatten
-    ``CosetRows.runs``, which yields one prefix row at a time as its runs,
-    so a consumer that keeps no row holds O(q) objects, not q^d, and in
-    d = 1, where the one prefix row is every coset, not O(q) either.
+    over q moves at no more than min(|g_i|, q - 1) values of t, found from
+    base_i mod q.  The rows flatten ``CosetRows.runs``, which yields one
+    prefix row at a time as its runs, so a consumer that keeps no row holds
+    O(q) objects, not q^d.
     """
     q = _coset_space(spec, divisor, ctx, cap)
     return CosetRows(_coset_runs(spec, divisor.coeffs, q), q, spec.dim)
@@ -235,13 +229,16 @@ class CosetRows:
 
 
 class _Memo(dict):
-    """key -> make(key), made once per distinct key."""
+    """key -> make(key), made once per key, emptied on reaching ``limit``."""
 
-    def __init__(self, make):
+    def __init__(self, make, limit=math.inf):
         super().__init__()
         self.make = make
+        self.limit = limit
 
     def __missing__(self, key):
+        if len(self) >= self.limit:
+            self.clear()
         value = self[key] = self.make(key)
         return value
 
@@ -265,44 +262,68 @@ def _coset_runs(spec: RingSpec, a, q: int):
     (``CosetRows.runs``).
 
     One vector carries the facet values at t = 0 and the numerators' starts
-    from row to row.  The runs start where a floor steps, looked up per
-    facet by the residue of its value in a table of at most q entries, and
-    the runs with one floor vector share one divisor: the floors of a facet
-    take at most sum_j |G_ij| + 1 values, so the divisors do not grow in
-    number with q."""
+    from row to row.  The runs start at the keys of ``_row_scanner``, which
+    move a floor vector from one run to the next, and the runs with one
+    floor vector share one divisor: the floors of a facet take at most
+    sum_j |G_ij| + 1 values, so the divisors do not grow in number with q."""
     grows = spec.pairings
     m = len(grows)
-    g_in = [row[-1] for row in grows]
-    dense = sum(map(abs, g_in)) + 1 >= q
-    cut_tables = [
-        (i, _Memo(functools.partial(_cuts, q, g))) for i, g in enumerate(g_in) if g
-    ]
+    keys, shift, mask, steps = _row_scanner(q, [row[-1] for row in grows])
     divisors = _Memo(WeilDivisor)
     *b_out, b_in = spec.lattice.basis.to_rows()
     moves = [[row[k] for row in grows] + b_out[k] for k in range(spec.dim - 1)]
     for row in _affine_rows([*a, *[0] * spec.dim], moves, q):
         # row: the facet values at t = 0, then the numerator starts
-        if dense:
-            starts = list(range(q))
-        else:
-            cuts = {0}
-            for i, table in cut_tables:
-                cuts.update(table[row[i] % q])
-            starts = sorted(cuts)
-        runs = [
-            (t1 - t0, divisors[tuple([(b + g * t0) // q for b, g in zip(row, g_in)])])
-            for t0, t1 in zip(starts, starts[1:] + [q])
-        ]
+        floors = [v // q for v in row[:m]]
+        runs = []
+        before = 0
+        for key in keys(row):
+            t = key >> shift
+            if t != before:
+                runs.append((t - before, divisors[tuple(floors)]))
+                before = t
+            i, jump = steps[key & mask]
+            floors[i] += jump
+        runs.append((q - before, divisors[tuple(floors)]))
         yield list(zip(row[m:], b_in)), runs
 
 
-def _cuts(q: int, g: int, rem: int) -> list:
-    """The t in (0, q) where floor((rem + g*t) / q) steps, g != 0."""
-    if g > 0:
-        cuts = [(s * q - rem + g - 1) // g for s in range(1, g + 1)]
-    else:
-        cuts = [(rem + s * q) // -g + 1 for s in range(-g)]
-    return [t for t in cuts if t < q]
+def _row_scanner(q: int, g):
+    """(keys, shift, mask, steps) for the column g of G along t: ``keys(row)``
+    sorts the keys of ``_cuts`` for the facet values at t = 0, the key
+    j = 2*i + b has steps[j] = (i, g_i // q + b), and a facet keeps its
+    tables per residue up to about 2^16 keys, never q^2 keys at a large q."""
+    shift = (2 * len(g)).bit_length()
+    tables = [
+        (i, _Memo(functools.partial(_cuts, q, gi, shift, 2 * i), 1 + 2**16 // min(abs(gi), q)))
+        for i, gi in enumerate(g) if gi
+    ]
+
+    def keys(row) -> list:
+        out = []
+        for i, table in tables:
+            out += table[row[i] % q]
+        out.sort()
+        return out
+
+    steps = [(j >> 1, g[j >> 1] // q + (j & 1)) for j in range(2 * len(g))]
+    return keys, shift, (1 << shift) - 1, steps
+
+
+def _cuts(q: int, g: int, shift: int, j: int, rem: int) -> list:
+    """The keys t << shift | j + b of the t in (0, q) where
+    floor((rem + g*t) / q) moves, by g // q + b with b in {0, 1}, in order
+    of t, for g != 0 and 0 <= rem < q.  A key stands for the whole jump at
+    its t, so there are at most min(|g|, q - 1) keys."""
+    if 0 < g < q:
+        # up by 1 where rem + g*t reaches a multiple of q
+        return [-(-x // g) << shift | j + 1 for x in range(q - rem, g * (q - 1) + 1, q)]
+    if -q <= g < 0:
+        # down by 1 where it falls below one
+        return [(x // -g + 1) << shift | j for x in range(rem, -g * (q - 1), q)]
+    # |g| >= q: a jump at every t, of g // q plus that of g mod q
+    g %= q
+    return [t << shift | j + (rem + g * t) // q - (rem + g * t - g) // q for t in range(1, q)]
 
 
 def _affine_rows(start, moves, q: int):
@@ -311,10 +332,11 @@ def _affine_rows(start, moves, q: int):
     if not moves:
         yield start
         return
-    move, *rest = moves
-    for _ in range(q):
-        yield from _affine_rows(start, rest, q)
-        start = list(map(operator.add, start, move))
+    *outer, move = moves
+    for row in _affine_rows(start, outer, q):
+        for _ in range(q):
+            yield row
+            row = list(map(operator.add, row, move))
 
 
 def _floor_sum(n, m, a, b) -> int:
@@ -340,23 +362,17 @@ def _floor_sum(n, m, a, b) -> int:
         m, a = a, m
 
 
-def _plane_axes(grows):
-    """The plane's t column of G (least absolute sum) and s column (the
-    next least), the other column indices, and the facet pairs (i, j, sign,
-    det, gcd(g_i, g_j)) whose lines cross, det = sign * (g_j*h_i - g_i*h_j)
-    > 0."""
-    t_col, s_col, *outer = sorted(
-        range(len(grows[0])), key=lambda j: sum(abs(row[j]) for row in grows)
-    )
-    g = [row[t_col] for row in grows]
-    h = [row[s_col] for row in grows]
+def _crossings(g, h) -> list:
+    """The facet pairs (i, j, sign, det, gcd(g_i, g_j)) whose lines in the
+    plane of t (column g of G) and s (column h) cross,
+    det = sign * (g_j*h_i - g_i*h_j) > 0."""
     pairs = []
-    for i, j in itertools.combinations(range(len(grows)), 2):
+    for i, j in itertools.combinations(range(len(g)), 2):
         det = g[j] * h[i] - g[i] * h[j]
         if g[i] and g[j] and det:
             sign = 1 if det > 0 else -1
             pairs.append((i, j, sign, det * sign, math.gcd(g[i], g[j])))
-    return g, h, outer, pairs
+    return pairs
 
 
 def _split_bound(g, h, pairs) -> int:
@@ -396,85 +412,68 @@ def _plane_splits(b, q, g, h, pairs) -> list:
 
 def _plane_runs(r, q, cg, grows) -> dict:
     """Class coordinates of the cosets c in [0, q)^d, counted with
-    multiplicity, for a base divisor r with 0 <= r_i < q, two coordinates
-    at a time.
+    multiplicity, for a base divisor r with 0 <= r_i < q.
 
-    The column of G with the least absolute sum is t and the next one s;
-    with the other coordinates fixed, facet i takes the value
-    v_i = b_i + h_i*s + g_i*t on the square [0, q)^2.  Its floor over q
-    steps at the lines v_i = k*q: along t, a line with g_i > 0 is passed
-    from t = ceil(x) on and one with g_i < 0 from t = floor(x) + 1 on,
-    x = (k*q - b_i - h_i*s) / g_i.  The s-axis is split where two lines
+    The column g of G with the least absolute sum is t.  Along a row in t,
+    facet i takes the value b_i + g_i*t, and ``_row_scanner`` gives the t
+    where its floor over q moves and the jumps; a run's class is the class
+    at t = 0 plus the jumps before it times the columns of the class
+    projection.  It scans the one row in d = 1, and every row when the
+    s-axis below could split at every s: finer intervals are as exact.
+
+    Otherwise the next column h is s, and facet i takes the value
+    v_i = b_i + h_i*s + g_i*t on the square [0, q)^2 of an outer row.  Its
+    floor over q steps at the lines v_i = k*q: along t, a line with g_i > 0
+    is passed from t = ceil(x) on and one with g_i < 0 from t = floor(x) + 1
+    on, x = (k*q - b_i - h_i*s) / g_i.  The s-axis is split where two lines
     cross (an integer crossing gets an interval of its own) and where a
-    floor at t = 0 or t = q - 1 changes (``_plane_splits``), or at every s
-    when those splits could number q.  Inside one interval the lines
-    strictly inside the window keep their order, that of x at its first s,
-    so the run between two adjacent lines keeps one floor vector, and its
-    total length over the interval is a difference of two floor sums.  Only
-    coincident lines tie there, and their floor sums put a ceil line before
-    a floor + 1 one.  With every s alone, the positions t themselves are
-    sorted, read from a table of each line's crossings per residue.  A
-    run's class is the class at t = 0 plus the columns of the class
-    projection of the lines before it, added for g_i > 0 and subtracted
-    for g_i < 0.
+    floor at t = 0 or t = q - 1 changes (``_plane_splits``).  Inside one
+    interval the lines strictly inside the window keep their order, that of
+    x at its first s, so the run between two adjacent lines keeps one floor
+    vector, and its total length over the interval is a difference of two
+    floor sums.  Only coincident lines tie there, and their floor sums put
+    a ceil line before a floor + 1 one.  Crossing a line adds its column of
+    the class projection for g_i > 0 and subtracts it for g_i < 0.
 
     While counting, a class is one integer code, sum_j coordinate_j * R^j
     with each coordinate in (-R/2, R/2) and torsion coordinates not yet
-    reduced, so that crossing a line is one addition; ``_decode`` turns
-    the codes into coordinates.
+    reduced, so that a jump is one addition; ``_decode`` turns the codes
+    into coordinates.
     """
-    m, d = len(grows), len(grows[0])
-    g, h, outer, pairs = _plane_axes(grows)
-    g_out = [[row[j] for j in outer] for row in grows]
+    t_col, *rest = sorted(range(len(grows[0])), key=lambda j: sum(abs(row[j]) for row in grows))
+    g = [row[t_col] for row in grows]
+    moves = [[row[j] for row in grows] for j in rest]
     cols, radix = _column_codes(cg, grows)
+    counts: dict[int, int] = {}
+    pairs = _crossings(g, moves[0]) if moves else []
+    if not moves or _split_bound(g, moves[0], pairs) >= q:
+        keys, shift, mask, steps = _row_scanner(q, g)
+        jumps = [jump * cols[i] for i, jump in steps]
+        for b in _affine_rows(list(r), moves, q):
+            code = 0
+            for v, col in zip(b, cols):
+                code += v // q * col
+            before = 0
+            for key in keys(b):
+                t = key >> shift
+                if t != before:
+                    counts[code] = counts.get(code, 0) + t - before
+                    before = t
+                code += jumps[key & mask]
+            counts[code] = counts.get(code, 0) + q - before
+        return _decode(counts, cg, radix)
+    h = moves[0]
     lcm = math.lcm(*(x for x in g if x))
     span = q - 1
     # a line sorts by lcm * x at the first s of an interval
-    lines = [
-        (i, g[i], h[i], lcm // g[i], cols[i] if g[i] > 0 else -cols[i])
-        for i in range(m)
-        if g[i]
-    ]
-    single = None
-    if _split_bound(g, h, pairs) >= q:
-        # finer intervals are as exact: every s is an interval of its own,
-        # and per line j and residue mod q of its value at t = 0, ``single``
-        # keeps the keys t << shift | j of the positions t crossing it
-        line_cols = [line[-1] for line in lines]
-        shift = len(lines).bit_length()
-        mask = (1 << shift) - 1
-        single = [
-            (i, [
-                [-(-x // gi) << shift | j for x in range(q - rem, gi * span + 1, q)]
-                if gi > 0
-                else [(x // -gi + 1) << shift | j for x in range(rem, -gi * span, q)]
-                for rem in range(q)
-            ])
-            for j, (i, gi, *_) in enumerate(lines)
-        ]
-    counts: dict[int, int] = {}
-    for prefix in itertools.product(range(q), repeat=d - 2):
-        b = [sum(map(operator.mul, prefix, go)) + ri for go, ri in zip(g_out, r)]
-        starts = range(q) if single is not None else _plane_splits(b, q, g, h, pairs)
+    lines = [(i, gi, h[i], lcm // gi, cols[i] if gi > 0 else -cols[i])
+             for i, gi in enumerate(g) if gi]
+    for b in _affine_rows(list(r), moves[1:], q):
+        starts = _plane_splits(b, q, g, h, pairs)
         for lo, end in zip(starts, [*starts[1:], q]):
             code = 0
-            for i in range(m):
-                code += (b[i] + h[i] * lo) // q * cols[i]
-            if single is not None:
-                # the positions themselves order the lines
-                keys = []
-                for i, crossed in single:
-                    keys += crossed[(b[i] + h[i] * lo) % q]
-                keys.sort()
-                before = 0
-                for key in keys:
-                    t = key >> shift
-                    if t != before:
-                        counts[code] = counts.get(code, 0) + t - before
-                        before = t
-                    code += line_cols[key & mask]
-                counts[code] = counts.get(code, 0) + q - before
-                continue
+            for v, hi, col in zip(b, h, cols):
+                code += (v + hi * lo) // q * col
             n = end - lo
             found = []
             for i, gi, hi, scale, col in lines:

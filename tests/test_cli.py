@@ -788,6 +788,30 @@ def test_unwritable_stdout_exits_2_in_one_line(sink, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["classgroup", "--builtin", "an:3"],
+     ["fsig", "--builtin", "an:3", "-p", "2", "-e", "2", "--exact"],
+     ["decompose", "--builtin", "an:3"],
+     ["decompose", "--builtin", "an:3", "--detail"],
+     ["verify", "--builtin", "an:3", "-p", "2", "-e", "2"],
+     ["verify", "--builtin", "an:3", "-p", "2", "-e", "2", "--out", "report.txt"]],
+    ids=["classgroup", "fsig", "decompose", "detail", "verify", "verify-out"],
+)
+def test_closed_stdout_exits_2_in_one_line(argv, tmp_path):
+    # fd 1 closed at start (the shell's >&-): Python starts with no
+    # sys.stdout, and the first write fails as on any unwritable stdout
+    res = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m",
+                          "toricfsig", *argv],
+                         stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=cli_env())
+    assert res.returncode == 2
+    reason = os.strerror(errno.EBADF)
+    assert res.stderr.splitlines() == [f"error: cannot write standard output: {reason}"]
+    if "--out" in argv:
+        # the report is written before the line that names it
+        assert "all_hold: True" in (tmp_path / "report.txt").read_text()
+
+
+@pytest.mark.parametrize(
     "call",
     ["run_corpus([2], 5, rings=[dense, parse_builtin('an:3')], q_max=None).ok",
      "len(signature_sequence(dense, 2, 5))"],

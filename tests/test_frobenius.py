@@ -342,7 +342,7 @@ def test_coset_representatives_are_canonical():
         assert len(set(seen)) == ctx.q**spec.dim
 
 
-def test_nonzero_divisor_plane_matches_walk():
+def test_nonzero_divisor_count_matches_listing():
     rng = random.Random(8)
     for token in ["an:5", "veronese:4", "quadric"]:
         spec = parse_builtin(token)
@@ -440,8 +440,8 @@ def test_noncyclic_literal_rings():
      (MIXED, 2, 3, False), (MIXED, 2, 4, True), (MIXED, 5, 2, True)],
 )
 def test_runs_match_pure_on_noncyclic_rings(ring, p, e, sparse):
-    # sparse: K + 1 < q, so rows split at breakpoints; otherwise every t
-    # starts a run and the kernel counts single cosets
+    # sparse: K + 1 < q, K the least absolute column sum of G, so a row in
+    # t has fewer cuts than q - 1; otherwise its cuts can reach every t
     spec = ring_from_dict(ring)
     ctx = FrobeniusContext(p, e)
     assert (_innermost_sum(spec) + 1 < ctx.q) == sparse
@@ -468,11 +468,76 @@ def test_huge_coefficients_match_pure():
     _runs_vs_pure(klein, WeilDivisor((2**64, -(2**70) - 3, 5)), FrobeniusContext(2, 2))
 
 
-def test_one_dimensional_plain_count_pads_the_plane():
+# facets (1, N) and (N, 1) on Z^2 with N = 10^12, torsion Z/(N^2 - 1)
+WIDE = {
+    "name": "wide",
+    "dim": 2,
+    "lattice_basis": [[1, 0], [0, 1]],
+    "facets": [["1", str(10**12)], [str(10**12), "1"]],
+}
+
+# torsion Z/13; G has the entries -10 in the counter's t column and 13 in
+# the lister's, past every q below
+TILT = {
+    "name": "tilt",
+    "dim": 3,
+    "lattice_basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "facets": [["1", "0", "0"], ["0", "1", "0"], ["-10", "11", "13"]],
+}
+
+
+@pytest.mark.parametrize("ring", [WIDE, TILT], ids=["wide", "tilt"])
+def test_pairings_far_above_q_match_reference(ring):
+    # a facet whose pairing passes q moves its floor at every t, by g // q
+    # or one more, so a row has at most q - 1 cuts however large G is
+    spec = ring_from_dict(ring)
+    assert validate(spec) == []
+    m = spec.num_facets
+    for p, e in ((2, 1), (3, 1), (2, 2), (2, 3), (3, 2)):
+        ctx = FrobeniusContext(p, e)
+        for coeffs in ((0,) * m, (5, -3, 7)[:m], (2**63 + 5, -(3**45), 2**64)[:m]):
+            _detail_vs_reference(spec, WeilDivisor(coeffs), ctx)
+
+
+def test_count_with_pairings_far_above_q_stays_small():
+    # at most q - 1 keys per facet and residue, where |g| keys per residue
+    # took 302 MB at N = 10^7
+    import tracemalloc
+
+    spec = ring_from_dict(WIDE)
+    class_group(spec)
+    tracemalloc.start()
+    try:
+        dec = decompose(spec, zero_divisor(spec), FrobeniusContext(2, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(dec.summands.values()) == 16
+    assert peak < 2_000_000, peak
+
+
+def test_listing_keeps_its_cut_tables_bounded():
+    # the second facet of an:100001 moves at every t, q - 1 keys for each
+    # residue it meets: over q = 512 rows the tables kept stay near 2^16
+    # keys, where keeping every one held 512 * 511 keys, about 10 MB
+    import tracemalloc
+
+    spec = parse_builtin("an:100001")
+    rows = coset_rows(spec, zero_divisor(spec), FrobeniusContext(2, 9))
+    tracemalloc.start()
+    try:
+        runs = sum(len(block) for _, block in rows.runs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert runs == 512 * 512
+    assert peak < 5_000_000, peak
+
+
+def test_one_dimensional_plain_count_scans_one_row():
     # facets x and 2x on Z, and 1, -2/3, 5/3 on 3Z: validate refuses both,
     # and their class groups Z and Z^2 are not trivial, so a plain count
-    # cannot take the shortcut; the plane counts them with a zero column
-    # added, which repeats every coset q times
+    # cannot take the shortcut; the counter scans their one row
     line = RingSpec(
         "line", Lattice(IntMat.from_rows([[1]])),
         (FacetFunctional((F(1),)), FacetFunctional((F(2),))),
@@ -494,7 +559,7 @@ def test_one_dimensional_plain_count_pads_the_plane():
                 _runs_vs_pure(spec, WeilDivisor(coeffs), ctx)
 
 
-def test_large_divisor_stays_off_the_big_int_path(monkeypatch):
+def test_large_divisor_is_counted_reduced(monkeypatch):
     # the plane counts the reduced divisor 0 <= r < q, never 10^20 itself
     spec = parse_builtin("quadric")
     ctx = FrobeniusContext(2, 6)
@@ -512,9 +577,9 @@ def test_large_divisor_stays_off_the_big_int_path(monkeypatch):
     assert dec.summands == {cg.add(c, shift): n for c, n in r.summands.items()}
 
 
-def test_overflowing_pairings_use_the_big_int_path(monkeypatch):
-    # G has an entry 2^62, so G*(q-1) leaves int64 and the plane counts in
-    # Python integers
+def test_pairings_past_int64_match_reference(monkeypatch):
+    # G has an entry 2^62, so G*(q-1) leaves int64; the counter takes it
+    # as any other G
     spec = parse_builtin(f"an:{2**62}")
     calls = []
     plane = frobenius._plane_runs
@@ -582,9 +647,9 @@ def test_detail_matches_reference_on_noncyclic_rings(ring):
             _detail_vs_reference(spec, divisor, ctx)
 
 
-def test_detail_on_the_object_grid():
-    # an:2^62 overflows int64 in G and in the basis; the listed floors and
-    # representative numerators are Python integers
+def test_detail_with_pairings_past_int64():
+    # an:2^62 overflows int64 in G and in the basis, times q - 1; the
+    # listed floors and representative numerators are Python integers
     spec = parse_builtin(f"an:{2**62}")
     assert pairing_matrix(spec).to_rows()[1] == [1, 2**62]
     for coeffs in ((0, 0), (1, -2), (-(10**25), 7)):
@@ -770,7 +835,7 @@ PRIME_POWERS = {
 }
 
 
-def test_walk_matches_reference_on_random_rings():
+def test_listing_matches_reference_on_random_rings():
     # valid random rings in d = 2..4: three with non-cyclic torsion and
     # six more whose last column of G, the axis coset_rows splits at
     # its breakpoints, has mixed signs; at a sparse q (K + 1 < q, K that
@@ -817,7 +882,7 @@ def _plane_summands(spec, divisor, q):
     }
 
 
-def test_plain_walk_matches_plane_on_random_rings():
+def test_count_matches_reference_on_random_rings():
     # valid random rings in d = 2..5 with a nontrivial class group, some of
     # free rank > 0 and some with non-cyclic torsion, at a dense q (K + 1 >=
     # q, K the least absolute column sum of G) and a sparse one, with
