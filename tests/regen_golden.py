@@ -145,6 +145,11 @@ def commands() -> list[list[str]]:
         ["verify", "--ring", "wide.json", "-p", "2,3", "-e", "2"],
         ["fsig", "--ring", "wide.json", "-p", "2", "-e", "3", "--exact"],
     ]
+    # --detail with q^2 = 16,384 distinct numerators, more than the
+    # writer's memo holds
+    for fmt in ("text", "json"):
+        out.append(["decompose", "--builtin", "an:100001", "-p", "2", "-e", "7",
+                    "--detail", "--format", fmt])
     # bad input: exit 2
     for command in ("classgroup", "fsig", "decompose"):
         out += [[command, "--builtin", token] for token in
