@@ -23,12 +23,12 @@ import argparse
 import errno
 import itertools
 import json
+import math
 import os
 import sys
-from fractions import Fraction
 
 from .divisors import CapExceededError, WeilDivisor, class_group
-from .frobenius import FrobeniusContext, coset_rows, decompose, resolve_cap
+from .frobenius import MEMO_LIMIT, FrobeniusContext, _Memo, coset_rows, decompose, resolve_cap
 from .fsignature import (
     convergence_report,
     exact_signature_volume,
@@ -243,17 +243,11 @@ def _json_list(n: int, item: str) -> str:
 WINDOW = 4096  # rows per write of --detail
 
 
-class _Texts(dict):
-    """n -> str(Fraction(n, q)), the text of a representative coordinate
-    with numerator n, formatted once per distinct n."""
-
-    def __init__(self, q):
-        super().__init__()
-        self.q = q
-
-    def __missing__(self, n):
-        text = self[n] = str(Fraction(n, self.q))
-        return text
+def _fraction_text(n: int, q: int) -> str:
+    """str(Fraction(n, q)), the text of a representative coordinate with
+    numerator n, from gcd(n, q) and no Fraction."""
+    g = math.gcd(n, q)
+    return str(n // q) if g == q else f"{n // g}/{q // g}"
 
 
 def _write_rows(
@@ -267,11 +261,9 @@ def _write_rows(
     coordinates that move along t is one string each, with the texts of the
     coordinates that stay put folded in.  A run of n rows formats its
     divisor once and is one join of n inner texts: the moving coordinate's
-    own when only one moves, else one join per row.  The coordinate texts
-    come from a table, which keeps them where numerators repeat across
-    prefix rows, d >= 2, and is emptied with each window in d = 1, where
-    they do not."""
-    texts = _Texts(q)
+    own when only one moves, else one join per row.  Each coordinate text
+    is made once while a memo of ``MEMO_LIMIT`` numerators holds it."""
+    texts = _Memo(lambda n: _fraction_text(n, q), MEMO_LIMIT)
     pieces = w_row.split("%s")
     window = []
     room = WINDOW
@@ -304,8 +296,6 @@ def _write_rows(
                     out.write("".join(window))
                     window.clear()
                     room = WINDOW
-                    if len(numerators) == 1:
-                        texts.clear()
     out.write("".join(window))
 
 

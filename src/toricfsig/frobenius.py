@@ -29,7 +29,8 @@ residue mod q from a table of at most min(|g_i|, q - 1) keys, one per t in
   representative and summand divisor, a flattening of its run blocks: the
   start and step of each representative numerator along the row and its
   runs as (length, divisor).  It takes no classes, and it holds one row's
-  runs at a time, never q^d rows.
+  runs at a time, never q^d rows, and memos of at most ``MEMO_LIMIT``
+  entries.
 
 The box oracle counts the semigroup points of the bounding box of qP a line
 at a time, with no cosets and no classes, so it checks the free rank
@@ -197,7 +198,7 @@ def coset_rows(
     O(q) objects, not q^d.
     """
     q = _coset_space(spec, divisor, ctx, cap)
-    return CosetRows(_coset_runs(spec, divisor.coeffs, q), q, spec.dim)
+    return CosetRows(_coset_runs(spec, divisor.coeffs, q), q)
 
 
 class CosetRows:
@@ -210,13 +211,11 @@ class CosetRows:
     (length, summand divisor).
     """
 
-    def __init__(self, runs, q: int, dim: int):
+    def __init__(self, runs, q: int):
         self.runs = runs
-        fraction = functools.partial(Fraction, denominator=q)
-        if dim > 1:
-            # numerators repeat across prefix rows: one Fraction each; in
-            # d = 1 the one prefix row has q distinct ones, and none is kept
-            fraction = _Memo(fraction).__getitem__
+        # one Fraction per numerator, shared across prefix rows while the
+        # memo holds it
+        fraction = _Memo(functools.partial(Fraction, denominator=q), MEMO_LIMIT).__getitem__
         self._rows = itertools.chain.from_iterable(
             _block_rows(numerators, row_runs, q, fraction) for numerators, row_runs in runs
         )
@@ -228,10 +227,14 @@ class CosetRows:
         return next(self._rows)
 
 
+# entries of each memo of the lister and the --detail writer
+MEMO_LIMIT = 4096
+
+
 class _Memo(dict):
     """key -> make(key), made once per key, emptied on reaching ``limit``."""
 
-    def __init__(self, make, limit=math.inf):
+    def __init__(self, make, limit: int):
         super().__init__()
         self.make = make
         self.limit = limit
@@ -264,12 +267,13 @@ def _coset_runs(spec: RingSpec, a, q: int):
     One vector carries the facet values at t = 0 and the numerators' starts
     from row to row.  The runs start at the keys of ``_row_scanner``, which
     move a floor vector from one run to the next, and the runs with one
-    floor vector share one divisor: the floors of a facet take at most
-    sum_j |G_ij| + 1 values, so the divisors do not grow in number with q."""
+    floor vector share one divisor while it stays in a memo of
+    ``MEMO_LIMIT`` entries: a facet's floors take at most sum_j |G_ij| + 1
+    values, so with pairings far above q the floor vectors can number q^d."""
     grows = spec.pairings
     m = len(grows)
     keys, shift, mask, steps = _row_scanner(q, [row[-1] for row in grows])
-    divisors = _Memo(WeilDivisor)
+    divisors = _Memo(WeilDivisor, MEMO_LIMIT)
     *b_out, b_in = spec.lattice.basis.to_rows()
     moves = [[row[k] for row in grows] + b_out[k] for k in range(spec.dim - 1)]
     for row in _affine_rows([*a, *[0] * spec.dim], moves, q):

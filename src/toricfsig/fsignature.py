@@ -99,8 +99,6 @@ class ConvergenceRow(Record):
     q: int
     s_e: Fraction
     deviation: Fraction | None
-    envelope: Fraction | None
-    within_envelope: bool | None
 
 
 class ConvergenceReport(Record):
@@ -111,32 +109,16 @@ class ConvergenceReport(Record):
         devs = [r.deviation for r in self.rows if r.deviation is not None]
         return max(devs) if devs else None
 
-    @property
-    def envelope_violations(self) -> tuple[ConvergenceRow, ...]:
-        return tuple(r for r in self.rows if r.within_envelope is False)
-
 
 def convergence_report(
     seq: list[FSignatureEstimate],
     exact: ExactFSignature | None = None,
-    an_param: int | None = None,
 ) -> ConvergenceReport:
-    """Per-term deviations from the exact value, plus the explicit
-    counting envelope |s_e - 1/n| <= (2qn + n^2 + 2q) / q^2 available for
-    the xy = z^n family (pass its n as ``an_param``)."""
+    """Per-term deviations from the exact value, when it is given."""
     if not seq:
         raise ValueError("empty sequence")
     rows = []
     for est in seq:
-        q = est.ctx.q
         deviation = None if exact is None else abs(est.s_e - exact.value)
-        envelope = None
-        within = None
-        if an_param is not None:
-            n = an_param
-            envelope = Fraction(2 * q * n + n * n + 2 * q, q * q)
-            within = abs(est.s_e - Fraction(1, n)) <= envelope
-        rows.append(
-            ConvergenceRow(est.ctx.e, q, est.s_e, deviation, envelope, within)
-        )
+        rows.append(ConvergenceRow(est.ctx.e, est.ctx.q, est.s_e, deviation))
     return ConvergenceReport(tuple(rows))

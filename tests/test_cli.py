@@ -412,20 +412,48 @@ def test_detail_in_dimension_1_streams_its_rows(fmt):
     assert detail < plain + 3_500_000, peaks
 
 
+def test_detail_keeps_its_memos_bounded():
+    # the 65536 rows of an:100001 at q = 2^8 carry q^2 distinct numerators
+    # (basis [[1, 1], [0, 100001]]): the writer's memo keeps at most
+    # MEMO_LIMIT texts, where one text per numerator peaked at 12 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            assert main(["decompose", "--builtin", "an:100001", "-p", "2", "-e", "8",
+                         "--detail"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000, peak
+
+
+def test_detail_text_of_a_numerator_is_that_of_its_fraction():
+    from fractions import Fraction
+
+    from toricfsig.cli import _fraction_text
+
+    for q in (2, 3, 9, 1024):
+        for n in range(-3 * q, 3 * q + 1):
+            assert _fraction_text(n, q) == str(Fraction(n, q)), (n, q)
+
+
 def test_detail_formats_each_numerator_once(monkeypatch):
     # the 32768 rows of quadric at q = 32 have three coordinates each, with
     # 32 numerators between them: each numerator's text is made once, where
     # one Fraction.__str__ per coordinate and row made 98304
     from fractions import Fraction
 
+    from toricfsig import cli
     from toricfsig.divisors import WeilDivisor
     from toricfsig.frobenius import FrobeniusContext, coset_rows
     from toricfsig.rings import parse_builtin
 
     formatted = []
-    real = Fraction.__str__
-    monkeypatch.setattr(Fraction, "__str__",
-                        lambda self: formatted.append(self) or real(self))
+    real = cli._fraction_text
+    monkeypatch.setattr(cli, "_fraction_text",
+                        lambda n, q: formatted.append(Fraction(n, q)) or real(n, q))
     code, out, err = _run_in_process(["decompose", "--builtin", "quadric", "-p", "2",
                                       "-e", "5", "--detail", "--format", "json"])
     assert code == 0, err

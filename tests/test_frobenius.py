@@ -534,6 +534,26 @@ def test_listing_keeps_its_cut_tables_bounded():
     assert peak < 5_000_000, peak
 
 
+def test_listing_with_pairings_far_above_q_keeps_its_memos_bounded():
+    # facets (1, N) and (N, 1), N = 10^12 + 1: the q^2 cosets at q = 2^8 have
+    # q^2 distinct floor vectors, and the divisor memo keeps at most
+    # MEMO_LIMIT of them, where one divisor per floor vector peaked at 19 MB
+    import tracemalloc
+
+    n = str(10**12 + 1)
+    spec = ring_from_dict({**WIDE, "facets": [["1", n], [n, "1"]]})
+    assert validate(spec) == []
+    rows = coset_rows(spec, zero_divisor(spec), FrobeniusContext(2, 8))
+    tracemalloc.start()
+    try:
+        runs = sum(len(block) for _, block in rows.runs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert runs == 256 * 256
+    assert peak < 6_000_000, peak
+
+
 def test_one_dimensional_plain_count_scans_one_row():
     # facets x and 2x on Z, and 1, -2/3, 5/3 on 3Z: validate refuses both,
     # and their class groups Z and Z^2 are not trivial, so a plain count

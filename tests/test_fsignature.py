@@ -98,21 +98,17 @@ def test_volume_dimension_guard():
 def test_convergence_report_exact_deviations():
     spec = parse_builtin("an:2")
     exact = exact_signature_volume(spec)
-    rep = convergence_report(signature_sequence(spec, 2, 3), exact=exact, an_param=2)
+    rep = convergence_report(signature_sequence(spec, 2, 3), exact=exact)
     assert all(r.deviation == 0 for r in rep.rows)
-    assert all(r.within_envelope for r in rep.rows)
     assert rep.max_deviation == 0
-    assert rep.envelope_violations == ()
 
 
 def test_convergence_report_envelope_values():
     spec = parse_builtin("an:2")
     exact = exact_signature_volume(spec)
-    rep = convergence_report(signature_sequence(spec, 3, 1), exact=exact, an_param=2)
+    rep = convergence_report(signature_sequence(spec, 3, 1), exact=exact)
     row = rep.rows[0]
     assert row.deviation == F(1, 18)
-    assert row.envelope == F(22, 9)  # (2*3*2 + 4 + 6) / 9
-    assert row.within_envelope
 
 
 def test_convergence_report_without_exact():

@@ -46,8 +46,7 @@ FIELDS = {
                              "summands": {}},
     FSignatureEstimate: {"ctx": CTX, "a_e": 3, "s_e": Fraction(3, 4)},
     ExactFSignature: {"value": Fraction(1, 3), "method": "singh_formula"},
-    ConvergenceRow: {"e": 1, "q": 2, "s_e": Fraction(1, 2), "deviation": None,
-                     "envelope": None, "within_envelope": None},
+    ConvergenceRow: {"e": 1, "q": 2, "s_e": Fraction(1, 2), "deviation": None},
     ConvergenceReport: {"rows": ()},
     WitnessRow: {"e": 1, "q": 2, "a_e": 2, "s_e": Fraction(1, 2), "n_e": 4, "rank": 4},
     TheoremVerdict: {"ring": "r", "p": 2, "torsion_cardinality": 3,
