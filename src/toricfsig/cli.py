@@ -28,7 +28,7 @@ import os
 import sys
 
 from .divisors import CapExceededError, WeilDivisor, class_group
-from .frobenius import MEMO_LIMIT, FrobeniusContext, _Memo, coset_rows, decompose, resolve_cap
+from .frobenius import FrobeniusContext, coset_rows, decompose, numerator_memo, resolve_cap
 from .fsignature import (
     convergence_report,
     exact_signature_volume,
@@ -214,7 +214,7 @@ def cmd_decompose(args) -> int:
             out.write(head + '\n  "cosets": [\n')
             w_row = ',\n      "w": ' + _json_list(spec.dim, '"%s"') + "\n    }"
             d_row = '    {\n      "divisor": ' + _json_list(spec.num_facets, "%s")
-            _write_rows(out, rows, ctx.q, w_row, d_row, ",\n", divisor_first=True)
+            _write_rows(out, rows, ctx.q, spec.dim, w_row, d_row, ",\n", divisor_first=True)
             out.write("\n  ]" + tail + "\n")
         else:
             print(json.dumps(doc, indent=2, sort_keys=True))
@@ -230,7 +230,7 @@ def cmd_decompose(args) -> int:
         if rows is not None:
             w_row = "    w=(" + ", ".join(["%s"] * spec.dim) + ")"
             d_row = "  divisor=[" + ", ".join(["%s"] * spec.num_facets) + "]"
-            _write_rows(out, rows, ctx.q, w_row, d_row, "\n", divisor_first=False)
+            _write_rows(out, rows, ctx.q, spec.dim, w_row, d_row, "\n", divisor_first=False)
             out.write("\n")
     return EXIT_OK
 
@@ -251,7 +251,7 @@ def _fraction_text(n: int, q: int) -> str:
 
 
 def _write_rows(
-    out, rows, q: int, w_row: str, d_row: str, sep: str, divisor_first: bool
+    out, rows, q: int, dim: int, w_row: str, d_row: str, sep: str, divisor_first: bool
 ) -> None:
     """Write one line per coset of the ``coset_rows`` result ``rows``,
     ``w_row % w`` and ``d_row % divisor`` in the given order, joined by
@@ -261,9 +261,10 @@ def _write_rows(
     coordinates that move along t is one string each, with the texts of the
     coordinates that stay put folded in.  A run of n rows formats its
     divisor once and is one join of n inner texts: the moving coordinate's
-    own when only one moves, else one join per row.  Each coordinate text
-    is made once while a memo of ``MEMO_LIMIT`` numerators holds it."""
-    texts = _Memo(lambda n: _fraction_text(n, q), MEMO_LIMIT)
+    own when only one moves, else one join per row.  The coordinate texts
+    come from ``numerator_memo``, which keeps them in d >= 2 while its memo
+    holds them."""
+    text = numerator_memo(lambda n: _fraction_text(n, q), q, dim)
     pieces = w_row.split("%s")
     window = []
     room = WINDOW
@@ -273,9 +274,9 @@ def _write_rows(
         for (start, step), piece in zip(numerators, pieces[1:]):
             if step:
                 nums = range(start, start + q * step, step)
-                parts += [map(texts.__getitem__, nums), piece]
+                parts += [map(text, nums), piece]
             else:
-                parts[-1] += texts[start] + piece
+                parts[-1] += text(start) + piece
         head, *middle, tail = parts
         if len(middle) == 1:
             inner = middle[0]

@@ -29,7 +29,7 @@ residue mod q from a table of at most min(|g_i|, q - 1) keys, one per t in
   representative and summand divisor, a flattening of its run blocks: the
   start and step of each representative numerator along the row and its
   runs as (length, divisor).  It takes no classes, and it holds one row's
-  runs at a time, never q^d rows, and memos of at most ``MEMO_LIMIT``
+  runs at a time, never q^d rows, and memos of at most ``memo_limit(q)``
   entries.
 
 The box oracle counts the semigroup points of the bounding box of qP a line
@@ -198,7 +198,7 @@ def coset_rows(
     O(q) objects, not q^d.
     """
     q = _coset_space(spec, divisor, ctx, cap)
-    return CosetRows(_coset_runs(spec, divisor.coeffs, q), q)
+    return CosetRows(_coset_runs(spec, divisor.coeffs, q), q, spec.dim)
 
 
 class CosetRows:
@@ -211,11 +211,9 @@ class CosetRows:
     (length, summand divisor).
     """
 
-    def __init__(self, runs, q: int):
+    def __init__(self, runs, q: int, dim: int):
         self.runs = runs
-        # one Fraction per numerator, shared across prefix rows while the
-        # memo holds it
-        fraction = _Memo(functools.partial(Fraction, denominator=q), MEMO_LIMIT).__getitem__
+        fraction = numerator_memo(functools.partial(Fraction, denominator=q), q, dim)
         self._rows = itertools.chain.from_iterable(
             _block_rows(numerators, row_runs, q, fraction) for numerators, row_runs in runs
         )
@@ -227,8 +225,21 @@ class CosetRows:
         return next(self._rows)
 
 
-# entries of each memo of the lister and the --detail writer
-MEMO_LIMIT = 4096
+def memo_limit(q: int) -> int:
+    """Entries of each memo of the lister and the --detail writer at q: a
+    prefix row has up to q numerators per coordinate and q runs, and the
+    memo holds 16 such rows and never fewer than 4096 entries, O(q) at any
+    basis entry.  The (n + 1)q
+    numerators of xy = z^n, which recur only every n rows, fit for n < 16."""
+    return max(4096, 16 * q)
+
+
+def numerator_memo(make, q: int, dim: int):
+    """n -> make(n) for the numerators of a listing at q in dimension dim.
+    In d >= 2 numerators repeat across prefix rows, and each is made once
+    while a ``_Memo`` of ``memo_limit(q)`` entries holds it; in d = 1 the one
+    prefix row has q distinct numerators, and none is kept."""
+    return _Memo(make, memo_limit(q)).__getitem__ if dim > 1 else make
 
 
 class _Memo(dict):
@@ -268,12 +279,12 @@ def _coset_runs(spec: RingSpec, a, q: int):
     from row to row.  The runs start at the keys of ``_row_scanner``, which
     move a floor vector from one run to the next, and the runs with one
     floor vector share one divisor while it stays in a memo of
-    ``MEMO_LIMIT`` entries: a facet's floors take at most sum_j |G_ij| + 1
+    ``memo_limit(q)`` entries: a facet's floors take at most sum_j |G_ij| + 1
     values, so with pairings far above q the floor vectors can number q^d."""
     grows = spec.pairings
     m = len(grows)
     keys, shift, mask, steps = _row_scanner(q, [row[-1] for row in grows])
-    divisors = _Memo(WeilDivisor, MEMO_LIMIT)
+    divisors = _Memo(WeilDivisor, memo_limit(q))
     *b_out, b_in = spec.lattice.basis.to_rows()
     moves = [[row[k] for row in grows] + b_out[k] for k in range(spec.dim - 1)]
     for row in _affine_rows([*a, *[0] * spec.dim], moves, q):

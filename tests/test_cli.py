@@ -415,7 +415,7 @@ def test_detail_in_dimension_1_streams_its_rows(fmt):
 def test_detail_keeps_its_memos_bounded():
     # the 65536 rows of an:100001 at q = 2^8 carry q^2 distinct numerators
     # (basis [[1, 1], [0, 100001]]): the writer's memo keeps at most
-    # MEMO_LIMIT texts, where one text per numerator peaked at 12 MB
+    # memo_limit(q) = 4096 texts, where one text per numerator peaked at 12 MB
     import tracemalloc
 
     tracemalloc.start()
@@ -466,6 +466,26 @@ def test_detail_formats_each_numerator_once(monkeypatch):
     w, d = next(coset_rows(spec, WeilDivisor((0,) * 4), FrobeniusContext(2, 5)))
     assert w == (0, 0, 0) and all(type(x) is Fraction for x in w)
     assert type(d) is WeilDivisor
+
+
+def test_detail_formats_each_numerator_of_a_long_cycle_once(monkeypatch):
+    # an:8 at q = 2^9, basis [[1, 1], [0, 8]]: prefix row c holds the q
+    # numerators c + 8t, met again 8 rows on, 9q = 4608 in all; a memo of a
+    # fixed 4096 entries was emptied about once per 8 rows and made the
+    # texts of nearly every row again
+    from fractions import Fraction
+
+    from toricfsig import cli
+
+    formatted = []
+    real = cli._fraction_text
+    monkeypatch.setattr(cli, "_fraction_text",
+                        lambda n, q: formatted.append(n) or real(n, q))
+    with contextlib.redirect_stdout(_Discard()):
+        assert main(["decompose", "--builtin", "an:8", "-p", "2", "-e", "9",
+                     "--detail"]) == 0
+    q = 512
+    assert sorted(formatted) == sorted({c + 8 * t for c in range(q) for t in range(q)})
 
 
 def test_main_callable_in_process(capsys):

@@ -537,7 +537,8 @@ def test_listing_keeps_its_cut_tables_bounded():
 def test_listing_with_pairings_far_above_q_keeps_its_memos_bounded():
     # facets (1, N) and (N, 1), N = 10^12 + 1: the q^2 cosets at q = 2^8 have
     # q^2 distinct floor vectors, and the divisor memo keeps at most
-    # MEMO_LIMIT of them, where one divisor per floor vector peaked at 19 MB
+    # memo_limit(q) = 4096 of them, where one divisor per floor vector
+    # peaked at 19 MB
     import tracemalloc
 
     n = str(10**12 + 1)
@@ -552,6 +553,24 @@ def test_listing_with_pairings_far_above_q_keeps_its_memos_bounded():
         tracemalloc.stop()
     assert runs == 256 * 256
     assert peak < 6_000_000, peak
+
+
+def test_numerator_memo_holds_sixteen_rows_and_none_in_dimension_1():
+    # a prefix row has up to q numerators per coordinate; in d = 1 the one
+    # row has q distinct ones, and the memo is skipped
+    made = []
+
+    def make(n):
+        made.append(n)
+        return -n
+
+    assert frobenius.numerator_memo(make, 1024, 1) is make
+    memo = frobenius.numerator_memo(make, 1024, 2)
+    assert frobenius.memo_limit(1024) == 16 * 1024
+    assert frobenius.memo_limit(2) == 4096
+    for _ in range(2):
+        assert [memo(n) for n in range(16 * 1024)] == [-n for n in range(16 * 1024)]
+    assert made == list(range(16 * 1024))
 
 
 def test_one_dimensional_plain_count_scans_one_row():
