@@ -9,7 +9,6 @@ from .divisors import (
     WeilDivisor,
     class_group,
     class_of,
-    principal_divisor,
     torsion_elements,
 )
 from .frobenius import (
@@ -25,7 +24,6 @@ from .frobenius import (
 from .fsignature import (
     ExactFSignature,
     FSignatureEstimate,
-    convergence_report,
     exact_signature_volume,
     signature_sequence,
     singh_determinantal_signature,
@@ -43,7 +41,6 @@ from .rings import (
     RingFormatError,
     RingSpec,
     builtin_ring,
-    contains,
     load_ring_file,
     parse_builtin,
     validate,
@@ -77,8 +74,6 @@ __all__ = [
     "builtin_ring",
     "class_group",
     "class_of",
-    "contains",
-    "convergence_report",
     "coset_rows",
     "decompose",
     "default_corpus",
@@ -89,7 +84,6 @@ __all__ = [
     "load_ring_file",
     "multiplicity_of",
     "parse_builtin",
-    "principal_divisor",
     "run_corpus",
     "signature_sequence",
     "simultaneous_torsion_count",

@@ -29,11 +29,7 @@ import sys
 
 from .divisors import CapExceededError, WeilDivisor, class_group
 from .frobenius import FrobeniusContext, coset_rows, decompose, numerator_memo, resolve_cap
-from .fsignature import (
-    convergence_report,
-    exact_signature_volume,
-    signature_sequence,
-)
+from .fsignature import exact_signature_volume, signature_sequence
 from .rings import (
     RingFormatError,
     RingSpec,
@@ -140,15 +136,14 @@ def cmd_fsig(args) -> int:
     divisor = _parse_divisor(args.divisor, spec) if args.divisor is not None else None
     seq = signature_sequence(spec, args.p, args.e_max, divisor=divisor, cap=args.cap)
     exact = exact_signature_volume(spec) if args.exact else None
-    report = convergence_report(seq, exact=exact)
     if args.format == "json":
         doc = {
             "ring": spec.name,
             "p": args.p,
             "divisor": list(divisor.coeffs) if divisor else None,
             "sequence": [
-                {"e": r.e, "q": r.q, "a_e": est.a_e, "s_e": str(r.s_e)}
-                for r, est in zip(report.rows, seq)
+                {"e": est.ctx.e, "q": est.ctx.q, "a_e": est.a_e, "s_e": str(est.s_e)}
+                for est in seq
             ],
             "exact": str(exact.value) if exact else None,
             "method": exact.method if exact else None,
@@ -162,10 +157,11 @@ def cmd_fsig(args) -> int:
             print(f"exact,,,{exact.value}")
     else:
         print(f"ring: {spec.name}  p={args.p}")
-        for r, est in zip(report.rows, seq):
-            line = f"  e={r.e}  q={r.q}  a_e={est.a_e}  s_e={r.s_e}"
-            if r.deviation is not None:
-                line += f"  |s_e-s|={r.deviation} (~{float(r.deviation):.3g})"
+        for est in seq:
+            line = f"  e={est.ctx.e}  q={est.ctx.q}  a_e={est.a_e}  s_e={est.s_e}"
+            if exact:
+                dev = abs(est.s_e - exact.value)
+                line += f"  |s_e-s|={dev} (~{float(dev):.3g})"
             print(line)
         if exact:
             print(f"exact F-signature: {exact.value} ({exact.method})")

@@ -99,16 +99,6 @@ class ClassGroupData(Record):
             (x + y for x, y in zip(a.torsion, b.torsion)),
         )
 
-    def neg(self, a: ClassElement) -> ClassElement:
-        return self.reduce((-x for x in a.free), (-x for x in a.torsion))
-
-
-def principal_divisor(spec: RingSpec, u) -> WeilDivisor:
-    """Divisor of the monomial with exponent u: the vector of facet pairings."""
-    if spec.lattice.coefficients_of(u) is None:
-        raise ValueError(f"{tuple(u)} is not a lattice point of {spec.name}")
-    return WeilDivisor(tuple(int(f.pairing(u)) for f in spec.facets))
-
 
 def class_group(spec: RingSpec) -> ClassGroupData:
     """Divisor classes modulo principal divisors, computed once per spec

@@ -229,8 +229,8 @@ def memo_limit(q: int) -> int:
     """Entries of each memo of the lister and the --detail writer at q: a
     prefix row has up to q numerators per coordinate and q runs, and the
     memo holds 16 such rows and never fewer than 4096 entries, O(q) at any
-    basis entry.  The (n + 1)q
-    numerators of xy = z^n, which recur only every n rows, fit for n < 16."""
+    basis entry.  The (n + 1)q numerators of xy = z^n, which recur only
+    every n rows, fit for n < 16."""
     return max(4096, 16 * q)
 
 

@@ -1,4 +1,4 @@
-"""F-signature: finite-level terms, exact values, and convergence reports.
+"""F-signature: finite-level terms and exact values.
 
 The e-th term is s_e = a_e / q^d with a_e the number of summands of
 F^e_* R in a chosen divisor class (the trivial class by default, giving the
@@ -70,7 +70,7 @@ def exact_signature_volume(spec: RingSpec) -> ExactFSignature:
     In lattice coordinates c the cosets contributing a free summand are the
     c/q with c in [0, q)^d and 0 <= Gc < q, so their density is the volume
     of P = {c : 0 <= Gc <= 1}, hence the limit of s_e; it is the volume of
-    {u : 0 <= facet_i(u) <= 1} over the covolume of L.
+    {u : 0 <= facet_i(u) <= 1} over the index of L in Z^d.
     """
     if spec.dim > VOLUME_DIM_LIMIT:
         raise ValueError(
@@ -92,33 +92,3 @@ def singh_determinantal_signature(s: int, d: int) -> ExactFSignature:
     return ExactFSignature(
         value=Fraction(total, math.factorial(d)), method="singh_formula"
     )
-
-
-class ConvergenceRow(Record):
-    e: int
-    q: int
-    s_e: Fraction
-    deviation: Fraction | None
-
-
-class ConvergenceReport(Record):
-    rows: tuple[ConvergenceRow, ...]
-
-    @property
-    def max_deviation(self) -> Fraction | None:
-        devs = [r.deviation for r in self.rows if r.deviation is not None]
-        return max(devs) if devs else None
-
-
-def convergence_report(
-    seq: list[FSignatureEstimate],
-    exact: ExactFSignature | None = None,
-) -> ConvergenceReport:
-    """Per-term deviations from the exact value, when it is given."""
-    if not seq:
-        raise ValueError("empty sequence")
-    rows = []
-    for est in seq:
-        deviation = None if exact is None else abs(est.s_e - exact.value)
-        rows.append(ConvergenceRow(est.ctx.e, est.ctx.q, est.s_e, deviation))
-    return ConvergenceReport(tuple(rows))

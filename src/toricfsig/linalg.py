@@ -178,7 +178,7 @@ def smith_normal_form(a: IntMat) -> SmithDecomposition:
         for r in v:
             r[i], r[j] = r[j], r[i]
 
-    def negate_row(i):
+    def flip_row(i):
         s[i] = [-x for x in s[i]]
         u[i] = [-x for x in u[i]]
 
@@ -192,7 +192,7 @@ def smith_normal_form(a: IntMat) -> SmithDecomposition:
             if pos[1] != k:
                 swap_cols(pos[1], k)
             if s[k][k] < 0:
-                negate_row(k)
+                flip_row(k)
             pivot = s[k][k]
             dirty = False
             for i in range(k + 1, m):

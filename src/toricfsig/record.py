@@ -12,8 +12,7 @@ generation and no import beyond ``operator``:
 - construction takes the fields positionally or by keyword and then calls
   ``__post_init__``, which may check them;
 - ``==`` compares the fields of two records of the same class, and any
-  other type gives ``NotImplemented``; ``hash`` covers the same fields, and
-  ``class R(Record, compare=(...))`` narrows both to the named fields;
+  other type gives ``NotImplemented``; ``hash`` covers the same fields;
 - ``repr`` is ``Name(field=value, ...)``;
 - setting or deleting an attribute raises ``AttributeError``.
 
@@ -26,12 +25,12 @@ import operator
 
 
 class Record:
-    def __init_subclass__(cls, compare=None, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = tuple(cls.__annotations__)
         cls._fields = fields
         cls._defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
-        cls._key = operator.attrgetter(*(fields if compare is None else compare))
+        cls._key = operator.attrgetter(*fields)
 
     def __init__(self, *args, **kwargs):
         fields = self._fields

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .geometry import dot, incidence_volume, solve_square, vertex_incidence
+from .geometry import dot, incidence_volume, vertex_incidence
 from .linalg import IntMat
 from .record import Record
 
@@ -36,27 +36,6 @@ class Lattice(Record):
     def dim(self) -> int:
         return self.basis.rows
 
-    def covolume(self) -> int:
-        return abs(self.basis.det())
-
-    def coefficients_of(self, u):
-        """Coordinates of u in the basis, or None when u is not in L."""
-        if len(u) != self.dim:
-            raise ValueError(f"expected a vector of length {self.dim}")
-        sol = solve_square(self.basis.transpose().to_rows(), [Fraction(x) for x in u])
-        if sol is None or any(c.denominator != 1 for c in sol):
-            return None
-        return tuple(int(c) for c in sol)
-
-    def contains_point(self, u) -> bool:
-        return self.coefficients_of(u) is not None
-
-    def point_from_coefficients(self, c):
-        return tuple(
-            sum(ci * self.basis.at(i, j) for i, ci in enumerate(c))
-            for j in range(self.dim)
-        )
-
 
 class FacetFunctional(Record):
     """Rational covector cutting out one facet of the cone; integer-valued
@@ -70,12 +49,10 @@ class FacetFunctional(Record):
         return dot(self.covector, u)
 
 
-class RingSpec(Record, compare=("name", "lattice", "facets")):
+class RingSpec(Record):
     name: str
     lattice: Lattice
     facets: tuple[FacetFunctional, ...]
-    family: str | None = None
-    params: tuple[int, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -197,16 +174,6 @@ def validate(spec: RingSpec) -> list[str]:
     return violations
 
 
-def contains(spec: RingSpec, u) -> bool:
-    """Semigroup membership: u lies in L and pairs nonnegatively with every
-    facet."""
-    if len(u) != spec.dim:
-        raise ValueError(f"expected a vector of length {spec.dim}")
-    if not spec.lattice.contains_point(u):
-        return False
-    return all(f.pairing(u) >= 0 for f in spec.facets)
-
-
 def _frac_row(entries):
     return tuple(Fraction(x) for x in entries)
 
@@ -236,8 +203,6 @@ def builtin_ring(family: str, *params: int) -> RingSpec:
             name=f"poly:{d}",
             lattice=Lattice(IntMat.identity(d)),
             facets=_coordinate_facets(d),
-            family="polynomial",
-            params=(d,),
         )
     elif family in ("an_singularity", "veronese"):
         (n,) = params
@@ -248,8 +213,6 @@ def builtin_ring(family: str, *params: int) -> RingSpec:
             name=f"{'an' if an else 'veronese'}:{n}",
             lattice=Lattice(IntMat.from_rows([[1, 1 if an else n - 1], [0, n]])),
             facets=_coordinate_facets(2),
-            family=family,
-            params=(n,),
         )
     elif family == "quadric_cone":
         if params:
@@ -261,8 +224,6 @@ def builtin_ring(family: str, *params: int) -> RingSpec:
                 FacetFunctional(_frac_row(row))
                 for row in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1])
             ),
-            family="quadric_cone",
-            params=(),
         )
     else:
         raise ValueError(f"unknown ring family {family!r}")
@@ -348,11 +309,13 @@ def ring_from_dict(data: dict) -> RingSpec:
 
 
 def load_ring_file(path: str) -> RingSpec:
-    """Read a JSON ring definition; validity is the caller's concern."""
+    """Read a JSON ring definition; validity is the caller's concern.  A file
+    that is not UTF-8, or nests deeper than the parser's recursion, is a
+    format error like any other unreadable document."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise RingFormatError(f"cannot read ring file {path}: {exc}") from exc
     return ring_from_dict(data)
 

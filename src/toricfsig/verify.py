@@ -117,10 +117,6 @@ class CorpusReport(Record):
     def all_hold(self) -> bool:
         return all(v.inequality_holds for v in self.verdicts)
 
-    @property
-    def ok(self) -> bool:
-        return self.all_hold and not self.errors
-
 
 def run_corpus(
     ps,

@@ -17,9 +17,46 @@ from toricfsig.divisors import (
 )
 from toricfsig.frobenius import FrobeniusContext, decompose, multiplicity_of, resolve_cap
 from toricfsig.fsignature import exact_signature_volume
+from toricfsig.geometry import solve_square
 from toricfsig.linalg import IntMat, smith_normal_form
 from toricfsig.record import Record
-from toricfsig.rings import RingSpec, ring_to_dict
+from toricfsig.rings import Lattice, RingSpec, ring_to_dict
+
+
+def covolume(lattice: Lattice) -> int:
+    return abs(lattice.basis.det())
+
+
+def coefficients_of(lattice: Lattice, u):
+    """Coordinates of u in the basis, or None when u is not in L."""
+    if len(u) != lattice.dim:
+        raise ValueError(f"expected a vector of length {lattice.dim}")
+    sol = solve_square(lattice.basis.transpose().to_rows(), [Fraction(x) for x in u])
+    if sol is None or any(c.denominator != 1 for c in sol):
+        return None
+    return tuple(int(c) for c in sol)
+
+
+def point_from_coefficients(lattice: Lattice, c):
+    return tuple(
+        sum(ci * lattice.basis.at(i, j) for i, ci in enumerate(c))
+        for j in range(lattice.dim)
+    )
+
+
+def contains(spec: RingSpec, u) -> bool:
+    """Semigroup membership: u lies in L and pairs nonnegatively with every
+    facet."""
+    if coefficients_of(spec.lattice, u) is None:
+        return False
+    return all(f.pairing(u) >= 0 for f in spec.facets)
+
+
+def principal_divisor(spec: RingSpec, u) -> WeilDivisor:
+    """Divisor of the monomial with exponent u: the vector of facet pairings."""
+    if coefficients_of(spec.lattice, u) is None:
+        raise ValueError(f"{tuple(u)} is not a lattice point of {spec.name}")
+    return WeilDivisor(tuple(int(f.pairing(u)) for f in spec.facets))
 
 
 def unit_region_halfspaces(spec: RingSpec):
@@ -55,7 +92,7 @@ def divisorial_points(spec: RingSpec, divisor: WeilDivisor, box) -> list[tuple[i
     ranges = [range(int(lo), int(hi)) for lo, hi in box]
     out = []
     for u in itertools.product(*ranges):
-        if spec.lattice.coefficients_of(u) is None:
+        if coefficients_of(spec.lattice, u) is None:
             continue
         if all(
             f.pairing(u) >= -a for f, a in zip(spec.facets, divisor.coeffs)

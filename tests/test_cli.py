@@ -81,6 +81,18 @@ def test_fsig_poly_trivial():
     assert "s_e=1" in res.stdout
 
 
+def test_fsig_exact_prints_each_deviation():
+    code, out, _ = _run_in_process(["fsig", "--builtin", "an:2", "-p", "3", "-e", "1", "--exact"])
+    assert code == 0
+    assert "  e=1  q=3  a_e=5  s_e=5/9  |s_e-s|=1/18 (~0.0556)\n" in out
+    # s_e of an:2 at p = 2 is exactly the limit at every e
+    code, out, _ = _run_in_process(["fsig", "--builtin", "an:2", "-p", "2", "-e", "3", "--exact"])
+    assert code == 0 and out.count("|s_e-s|=0 (~0)\n") == 3
+    # without --exact there is nothing to deviate from
+    code, out, _ = _run_in_process(["fsig", "--builtin", "an:3", "-p", "2", "-e", "2"])
+    assert code == 0 and "|s_e-s|" not in out
+
+
 def test_decompose_an2():
     res = run_cli("decompose", "--builtin", "an:2", "-p", "2", "-e", "1")
     assert res.returncode == 0
@@ -237,6 +249,34 @@ def test_invalid_ring_file_exits_2(tmp_path):
     garbage.write_text("{{{{")
     res = run_cli("classgroup", "--ring", str(garbage))
     assert res.returncode == 2
+
+
+# nested too deep for the JSON parser (990 levels already are, in a fresh
+# Python 3.11 process)
+DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("brackets.json", DEEP.encode()),
+        # a valid document but for one facet entry
+        ("deep_facet.json", json.dumps(
+            {"name": "x", "dim": 2, "lattice_basis": [[1, 0], [0, 1]],
+             "facets": ["@", ["0", "1"]]}).replace('"@"', DEEP).encode()),
+        ("latin1.json", '{"name": "\u00e9"}'.encode("latin-1")),
+    ],
+    ids=["brackets", "deep_facet", "latin1"],
+)
+def test_unparseable_ring_file_is_one_error_line(tmp_path, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    code, out, err = _run_in_process(["classgroup", "--ring", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read ring file {path}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
 
 
 def test_zero_denominator_facet_exits_2(tmp_path):
@@ -861,7 +901,8 @@ def test_closed_stdout_exits_2_in_one_line(argv, tmp_path):
 
 @pytest.mark.parametrize(
     "call",
-    ["run_corpus([2], 5, rings=[dense, parse_builtin('an:3')], q_max=None).ok",
+    ["(r := run_corpus([2], 5, rings=[dense, parse_builtin('an:3')], q_max=None)).all_hold"
+     " and not r.errors",
      "len(signature_sequence(dense, 2, 5))"],
     ids=["run_corpus", "signature_sequence"],
 )

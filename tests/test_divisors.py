@@ -5,14 +5,13 @@ import re
 from pathlib import Path
 
 import pytest
-from helpers import divisorial_points, order_of_class
+from helpers import divisorial_points, order_of_class, point_from_coefficients, principal_divisor
 
 from toricfsig.divisors import (
     CapExceededError,
     WeilDivisor,
     class_group,
     class_of,
-    principal_divisor,
     torsion_elements,
 )
 from toricfsig.rings import parse_builtin
@@ -60,7 +59,7 @@ def test_class_of_principal_is_zero():
         cg = class_group(spec)
         for _ in range(30):
             c = tuple(rng.randint(-6, 6) for _ in range(spec.dim))
-            u = spec.lattice.point_from_coefficients(c)
+            u = point_from_coefficients(spec.lattice, c)
             assert class_of(cg, principal_divisor(spec, u)).is_zero
 
 
@@ -89,7 +88,7 @@ def test_class_of_is_homomorphism():
             d1 = WeilDivisor(tuple(rng.randint(-9, 9) for _ in range(m)))
             d2 = WeilDivisor(tuple(rng.randint(-9, 9) for _ in range(m)))
             assert class_of(cg, d1 + d2) == cg.add(class_of(cg, d1), class_of(cg, d2))
-            assert class_of(cg, -d1) == cg.neg(class_of(cg, d1))
+            assert cg.add(class_of(cg, -d1), class_of(cg, d1)).is_zero
 
 
 def test_order_of_class():
@@ -141,9 +140,7 @@ def test_divisorial_points_translation():
     rng = random.Random(4)
     for _ in range(10):
         d = WeilDivisor((rng.randint(-2, 2), rng.randint(-2, 2)))
-        v = spec.lattice.point_from_coefficients(
-            (rng.randint(-2, 2), rng.randint(-2, 2))
-        )
+        v = point_from_coefficients(spec.lattice, (rng.randint(-2, 2), rng.randint(-2, 2)))
         box = [(-6, 7), (-6, 7)]
         shifted_box = [(lo + x, hi + x) for (lo, hi), x in zip(box, v)]
         translated = {

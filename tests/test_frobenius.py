@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from helpers import coefficients_of
 
 from toricfsig.divisors import (
     CapExceededError,
@@ -241,7 +242,7 @@ def _shifted_facet_box_count(spec, divisor, q):
     hi = max(q * (1 + a) for a in divisor.coeffs) + 3 * q
     count = 0
     for u in itertools.product(range(lo, hi + 1), repeat=spec.dim):
-        if spec.lattice.coefficients_of(u) is None:
+        if coefficients_of(spec.lattice, u) is None:
             continue
         if all(
             q * a <= f.pairing(u) < q * (1 + a)
@@ -334,7 +335,7 @@ def test_coset_representatives_are_canonical():
         for w, _ in coset_rows(spec, zero_divisor(spec), ctx):
             scaled = tuple(x * ctx.q for x in w)
             assert all(x.denominator == 1 for x in scaled)
-            coeffs = spec.lattice.coefficients_of(tuple(int(x) for x in scaled))
+            coeffs = coefficients_of(spec.lattice, tuple(int(x) for x in scaled))
             assert coeffs is not None
             assert all(0 <= c < ctx.q for c in coeffs)
             seen.append(coeffs)

@@ -5,7 +5,6 @@ import pytest
 from toricfsig.divisors import WeilDivisor, class_group
 from toricfsig.frobenius import FrobeniusContext, decompose, free_rank
 from toricfsig.fsignature import (
-    convergence_report,
     exact_signature_volume,
     signature_sequence,
     singh_determinantal_signature,
@@ -93,30 +92,6 @@ def test_divisor_and_free_sequences_approach_each_other():
 def test_volume_dimension_guard():
     with pytest.raises(ValueError):
         exact_signature_volume(parse_builtin("poly:5"))
-
-
-def test_convergence_report_exact_deviations():
-    spec = parse_builtin("an:2")
-    exact = exact_signature_volume(spec)
-    rep = convergence_report(signature_sequence(spec, 2, 3), exact=exact)
-    assert all(r.deviation == 0 for r in rep.rows)
-    assert rep.max_deviation == 0
-
-
-def test_convergence_report_envelope_values():
-    spec = parse_builtin("an:2")
-    exact = exact_signature_volume(spec)
-    rep = convergence_report(signature_sequence(spec, 3, 1), exact=exact)
-    row = rep.rows[0]
-    assert row.deviation == F(1, 18)
-
-
-def test_convergence_report_without_exact():
-    rep = convergence_report(signature_sequence(parse_builtin("an:3"), 2, 2))
-    assert all(r.deviation is None for r in rep.rows)
-    assert rep.max_deviation is None
-    with pytest.raises(ValueError):
-        convergence_report([])
 
 
 def test_volume_agrees_with_counts_at_large_q():

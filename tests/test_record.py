@@ -9,12 +9,7 @@ from helpers import ClassConvergenceRow, ClassConvergenceTable
 import toricfsig  # noqa: F401  (imports every record type)
 from toricfsig.divisors import ClassElement, ClassGroupData, WeilDivisor, class_group
 from toricfsig.frobenius import FrobeniusContext, FrobeniusDecomposition
-from toricfsig.fsignature import (
-    ConvergenceReport,
-    ConvergenceRow,
-    ExactFSignature,
-    FSignatureEstimate,
-)
+from toricfsig.fsignature import ExactFSignature, FSignatureEstimate
 from toricfsig.linalg import IntMat, SmithDecomposition
 from toricfsig.record import Record
 from toricfsig.rings import FacetFunctional, Lattice, RingSpec, parse_builtin
@@ -29,15 +24,22 @@ M = IntMat(2, 2, (1, 0, 0, 1))
 SPEC = parse_builtin("an:3")
 CTX = FrobeniusContext(2, 1)
 
-# every record type of the package and of the test helpers with its fields,
-# in order, and one valid value each
+
+class Labelled(Record):
+    """No record type of the package has a default; this one does."""
+
+    name: str
+    label: str | None = None
+
+
+# every record type of the package and of the test helpers, and Labelled,
+# with its fields, in order, and one valid value each
 FIELDS = {
     IntMat: {"rows": 2, "cols": 2, "entries": (1, 2, 3, 4)},
     SmithDecomposition: {"U": M, "S": M, "V": M},
     Lattice: {"basis": M},
     FacetFunctional: {"covector": (Fraction(1), Fraction(0))},
-    RingSpec: {"name": "r", "lattice": Lattice(M),
-               "facets": (FacetFunctional((1, 0)),), "family": "f", "params": (3,)},
+    RingSpec: {"name": "r", "lattice": Lattice(M), "facets": (FacetFunctional((1, 0)),)},
     WeilDivisor: {"coeffs": (1, -2)},
     ClassElement: {"free": (1,), "torsion": (2,)},
     ClassGroupData: {"free_rank": 0, "invariant_factors": (3,), "projection": M},
@@ -46,8 +48,6 @@ FIELDS = {
                              "summands": {}},
     FSignatureEstimate: {"ctx": CTX, "a_e": 3, "s_e": Fraction(3, 4)},
     ExactFSignature: {"value": Fraction(1, 3), "method": "singh_formula"},
-    ConvergenceRow: {"e": 1, "q": 2, "s_e": Fraction(1, 2), "deviation": None},
-    ConvergenceReport: {"rows": ()},
     WitnessRow: {"e": 1, "q": 2, "a_e": 2, "s_e": Fraction(1, 2), "n_e": 4, "rank": 4},
     TheoremVerdict: {"ring": "r", "p": 2, "torsion_cardinality": 3,
                      "exact_signature": Fraction(1, 3), "inequality_holds": True,
@@ -58,13 +58,14 @@ FIELDS = {
                             "rows": ()},
     CorpusError: {"ring": "r", "p": 2, "kind": "cap", "message": "m"},
     CorpusReport: {"verdicts": (), "errors": ()},
+    Labelled: {"name": "r", "label": "l"},
 }
-DEFAULTS = {RingSpec: {"family": None, "params": ()}}
+DEFAULTS = {Labelled: {"label": None}}
 TYPES = pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
 
 
 def test_every_record_type_is_listed():
-    assert len(FIELDS) == 20
+    assert len(FIELDS) == 19
     package = {c for c in Record.__subclasses__() if c.__module__.startswith("toricfsig.")}
     assert package == {c for c in FIELDS if c.__module__.startswith("toricfsig.")}
 
@@ -121,16 +122,16 @@ def test_equality_and_hash_follow_the_compared_fields():
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != ClassElement((1,), (0,))
     assert IntMat(1, 2, (1, 2)) != IntMat(2, 1, (1, 2))
-    # family and params label a ring but are not part of its identity
+    # a ring is its name, lattice and facets
     plain = RingSpec(SPEC.name, SPEC.lattice, SPEC.facets)
-    assert SPEC.family is not None and plain.family is None
     assert plain == SPEC and hash(plain) == hash(SPEC)
     assert class_group(plain) == class_group(SPEC)
     assert RingSpec("other", SPEC.lattice, SPEC.facets) != SPEC
+    assert RingSpec(SPEC.name, SPEC.lattice, SPEC.facets[::-1]) != SPEC
 
 
 def test_memoised_ring_values_leave_equality_hash_and_repr_alone():
-    spec = RingSpec(SPEC.name, SPEC.lattice, SPEC.facets, SPEC.family, SPEC.params)
+    spec = RingSpec(SPEC.name, SPEC.lattice, SPEC.facets)
     before = (repr(spec), hash(spec))
     cg = class_group(spec)
     assert spec.unit_region_volume == Fraction(1, 3)
