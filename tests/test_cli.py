@@ -81,18 +81,6 @@ def test_fsig_poly_trivial():
     assert "s_e=1" in res.stdout
 
 
-def test_fsig_exact_prints_each_deviation():
-    code, out, _ = _run_in_process(["fsig", "--builtin", "an:2", "-p", "3", "-e", "1", "--exact"])
-    assert code == 0
-    assert "  e=1  q=3  a_e=5  s_e=5/9  |s_e-s|=1/18 (~0.0556)\n" in out
-    # s_e of an:2 at p = 2 is exactly the limit at every e
-    code, out, _ = _run_in_process(["fsig", "--builtin", "an:2", "-p", "2", "-e", "3", "--exact"])
-    assert code == 0 and out.count("|s_e-s|=0 (~0)\n") == 3
-    # without --exact there is nothing to deviate from
-    code, out, _ = _run_in_process(["fsig", "--builtin", "an:3", "-p", "2", "-e", "2"])
-    assert code == 0 and "|s_e-s|" not in out
-
-
 def test_decompose_an2():
     res = run_cli("decompose", "--builtin", "an:2", "-p", "2", "-e", "1")
     assert res.returncode == 0

@@ -1,7 +1,11 @@
+import contextlib
+import io
+import json
 from fractions import Fraction as F
 
 import pytest
 
+from toricfsig.cli import main
 from toricfsig.divisors import WeilDivisor, class_group
 from toricfsig.frobenius import FrobeniusContext, decompose, free_rank
 from toricfsig.fsignature import (
@@ -92,6 +96,47 @@ def test_divisor_and_free_sequences_approach_each_other():
 def test_volume_dimension_guard():
     with pytest.raises(ValueError):
         exact_signature_volume(parse_builtin("poly:5"))
+
+
+def _fsig(*argv):
+    """Exit code and stdout of the ``fsig`` command run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["fsig", *argv])
+    return code, out.getvalue()
+
+
+def test_convergence_report_exact_deviations():
+    # s_e of an:2 at p = 2 is exactly the limit at every e
+    spec = parse_builtin("an:2")
+    exact = exact_signature_volume(spec)
+    assert all(est.s_e == exact.value for est in signature_sequence(spec, 2, 3))
+    code, out = _fsig("--builtin", "an:2", "-p", "2", "-e", "3", "--exact")
+    assert code == 0
+    assert out.count("|s_e-s|=0 (~0)\n") == 3
+
+
+def test_convergence_report_envelope_values():
+    spec = parse_builtin("an:2")
+    exact = exact_signature_volume(spec)
+    (est,) = signature_sequence(spec, 3, 1)
+    assert abs(est.s_e - exact.value) == F(1, 18)
+    code, out = _fsig("--builtin", "an:2", "-p", "3", "-e", "1", "--exact")
+    assert code == 0
+    assert "  e=1  q=3  a_e=5  s_e=5/9  |s_e-s|=1/18 (~0.0556)\n" in out
+
+
+def test_convergence_report_without_exact():
+    # without --exact there is nothing to deviate from
+    code, out = _fsig("--builtin", "an:3", "-p", "2", "-e", "2")
+    assert code == 0
+    assert out.count("  e=") == 2
+    assert "|s_e-s|" not in out and "exact F-signature" not in out
+    code, out = _fsig("--builtin", "an:3", "-p", "2", "-e", "2", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["sequence"]) == 2
+    assert doc["exact"] is None and doc["method"] is None
 
 
 def test_volume_agrees_with_counts_at_large_q():
