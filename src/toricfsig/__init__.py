@@ -40,7 +40,6 @@ from .rings import (
     Lattice,
     RingFormatError,
     RingSpec,
-    builtin_ring,
     load_ring_file,
     parse_builtin,
     validate,
@@ -71,7 +70,6 @@ __all__ = [
     "TheoremVerdict",
     "WeilDivisor",
     "box_count_oracle",
-    "builtin_ring",
     "class_group",
     "class_of",
     "coset_rows",

@@ -7,8 +7,7 @@ pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, and
 0.5 ms a class.  ``Record`` gives the same behaviour with no code
 generation and no import beyond ``operator``:
 
-- the fields are the class annotations, in order, and a class attribute
-  named like a field is its default;
+- the fields are the class annotations, in order, all of them required;
 - construction takes the fields positionally or by keyword and then calls
   ``__post_init__``, which may check them;
 - ``==`` compares the fields of two records of the same class, and any
@@ -29,7 +28,6 @@ class Record:
         super().__init_subclass__(**kwargs)
         fields = tuple(cls.__annotations__)
         cls._fields = fields
-        cls._defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
         cls._key = operator.attrgetter(*fields)
 
     def __init__(self, *args, **kwargs):
@@ -57,7 +55,6 @@ class Record:
             if key in values:
                 raise TypeError(f"{name}() got multiple values for argument {key!r}")
             values[key] = value
-        values = {**cls._defaults, **values}
         missing = [f for f in fields if f not in values]
         if missing:
             raise TypeError(f"{name}() missing required arguments: {missing}")

@@ -185,54 +185,6 @@ def _coordinate_facets(d: int) -> tuple[FacetFunctional, ...]:
     )
 
 
-def builtin_ring(family: str, *params: int) -> RingSpec:
-    """Construct one of the built-in families.
-
-    polynomial(d)        L = Z^d, coordinate facets.
-    an_singularity(n)    k[x,y,z]/(xy - z^n) as the monomial ring
-                         k[x^n, xy, y^n]; exponent lattice a = b mod n.
-    veronese(n)          n-th Veronese of k[x,y]; exponent lattice
-                         a + b = 0 mod n.
-    quadric_cone         k[w,x,y,z]/(wx - yz), the Segre cone in Z^3.
-    """
-    if family == "polynomial":
-        (d,) = params
-        if d < 1:
-            raise ValueError("polynomial ring needs dimension >= 1")
-        spec = RingSpec(
-            name=f"poly:{d}",
-            lattice=Lattice(IntMat.identity(d)),
-            facets=_coordinate_facets(d),
-        )
-    elif family in ("an_singularity", "veronese"):
-        (n,) = params
-        if n < 2:
-            raise ValueError(f"{family} needs n >= 2")
-        an = family == "an_singularity"
-        spec = RingSpec(
-            name=f"{'an' if an else 'veronese'}:{n}",
-            lattice=Lattice(IntMat.from_rows([[1, 1 if an else n - 1], [0, n]])),
-            facets=_coordinate_facets(2),
-        )
-    elif family == "quadric_cone":
-        if params:
-            raise ValueError("quadric_cone takes no parameters")
-        spec = RingSpec(
-            name="quadric",
-            lattice=Lattice(IntMat.identity(3)),
-            facets=tuple(
-                FacetFunctional(_frac_row(row))
-                for row in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1])
-            ),
-        )
-    else:
-        raise ValueError(f"unknown ring family {family!r}")
-    problems = validate(spec)
-    if problems:
-        raise AssertionError(f"builtin ring failed validation: {problems}")
-    return spec
-
-
 _FAMILY_ALIASES = {
     "poly": "polynomial",
     "polynomial": "polynomial",
@@ -246,25 +198,45 @@ _FAMILY_ALIASES = {
 
 
 def parse_builtin(token: str) -> RingSpec:
-    """Resolve CLI-style addresses like an:4, veronese:3, poly:2, quadric."""
+    """Build a built-in ring from its address: an:4, veronese:3, poly:2, quadric.
+
+    poly:d          polynomial(d), L = Z^d, coordinate facets.
+    an:n            an_singularity(n), k[x,y,z]/(xy - z^n) as the monomial
+                    ring k[x^n, xy, y^n]; exponent lattice a = b mod n.
+    veronese:n      n-th Veronese of k[x,y]; exponent lattice a + b = 0 mod n.
+    quadric         quadric_cone, k[w,x,y,z]/(wx - yz), the Segre cone in Z^3.
+
+    Builtins are valid by construction, so they are never passed to
+    ``validate``; the tests validate every family.
+    """
     name, _, arg = token.partition(":")
     family = _FAMILY_ALIASES.get(name.strip())
     if family is None:
         raise ValueError(f"unknown builtin ring {token!r}")
-    if arg:
-        try:
-            params = tuple(int(x) for x in arg.split(","))
-        except ValueError:
-            raise ValueError(f"bad parameters in builtin ring {token!r}") from None
-    else:
-        params = ()
+    try:
+        params = tuple(int(x) for x in arg.split(",")) if arg else ()
+    except ValueError:
+        raise ValueError(f"bad parameters in builtin ring {token!r}") from None
     if family == "quadric_cone":
         if params:
             raise ValueError(f"builtin ring {token!r} takes no parameters")
-        return builtin_ring(family)
+        extra = FacetFunctional(_frac_row((1, 1, -1)))
+        return RingSpec("quadric", Lattice(IntMat.identity(3)), _coordinate_facets(3) + (extra,))
     if len(params) != 1:
         raise ValueError(f"builtin ring {token!r} needs exactly one parameter")
-    return builtin_ring(family, *params)
+    (n,) = params
+    if family == "polynomial":
+        if n < 1:
+            raise ValueError("polynomial ring needs dimension >= 1")
+        return RingSpec(f"poly:{n}", Lattice(IntMat.identity(n)), _coordinate_facets(n))
+    if n < 2:
+        raise ValueError(f"{family} needs n >= 2")
+    an = family == "an_singularity"
+    return RingSpec(
+        f"{'an' if an else 'veronese'}:{n}",
+        Lattice(IntMat.from_rows([[1, 1 if an else n - 1], [0, n]])),
+        _coordinate_facets(2),
+    )
 
 
 def ring_to_dict(spec: RingSpec) -> dict:

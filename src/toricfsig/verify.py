@@ -27,7 +27,7 @@ from .frobenius import (
 )
 from .fsignature import exact_signature_volume
 from .record import Record
-from .rings import RingSpec, builtin_ring, ring_to_dict
+from .rings import RingSpec, parse_builtin, ring_to_dict
 
 
 class WitnessRow(Record):
@@ -95,11 +95,9 @@ def verify_ring(
 
 def default_corpus() -> list[RingSpec]:
     """The built-in rings the verifier sweeps by default."""
-    specs = [builtin_ring("polynomial", d) for d in (1, 2, 3)]
-    specs += [builtin_ring("an_singularity", n) for n in range(2, 7)]
-    specs += [builtin_ring("veronese", n) for n in range(2, 7)]
-    specs.append(builtin_ring("quadric_cone"))
-    return sorted(specs, key=lambda s: s.name)
+    addresses = ["poly:1", "poly:2", "poly:3", "quadric"]
+    addresses += [f"{family}:{n}" for family in ("an", "veronese") for n in range(2, 7)]
+    return sorted(map(parse_builtin, addresses), key=lambda s: s.name)
 
 
 class CorpusError(Record):

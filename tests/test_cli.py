@@ -666,6 +666,26 @@ def _run_in_process(argv, env_cap=None):
     return code, out.getvalue(), err.getvalue()
 
 
+def test_builtins_run_no_vertex_enumeration(monkeypatch):
+    # builtins are valid by construction: classgroup and decompose never
+    # enumerate the unit region's vertices, 2^16 of them for poly:16, in an
+    # uncapped double description
+    from toricfsig import geometry
+
+    calls = []
+    monkeypatch.setattr(geometry, "_extreme_rays", lambda *a: calls.append(a) or [])
+    for argv in (["classgroup", "--builtin", "poly:16"],
+                 ["decompose", "--builtin", "poly:16", "-p", "2", "-e", "1"]):
+        code, _, err = _run_in_process(argv)
+        assert code == 0, err
+    assert calls == []
+    # verify reads the vertices only below its dimension limit
+    code, out, err = _run_in_process(["verify", "--builtin", "poly:5", "-p", "2", "-e", "1"])
+    assert code == 2
+    assert "exact volume supports dimension <= 4, got 5" in out + err
+    assert calls == []
+
+
 def _fresh(body):
     """Run ``body`` in a fresh interpreter: the JSON value it leaves in
     ``result``, the modules it loaded, and its stderr."""

@@ -26,10 +26,10 @@ CTX = FrobeniusContext(2, 1)
 
 
 class Labelled(Record):
-    """No record type of the package has a default; this one does."""
+    """A record type defined outside the package."""
 
     name: str
-    label: str | None = None
+    label: str | None
 
 
 # every record type of the package and of the test helpers, and Labelled,
@@ -60,7 +60,6 @@ FIELDS = {
     CorpusReport: {"verdicts": (), "errors": ()},
     Labelled: {"name": "r", "label": "l"},
 }
-DEFAULTS = {Labelled: {"label": None}}
 TYPES = pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
 
 
@@ -84,12 +83,11 @@ def test_positional_and_keyword_construction(cls):
 
 
 @TYPES
-def test_defaults_fill_omitted_fields(cls):
-    defaults = DEFAULTS.get(cls, {})
-    required = {k: v for k, v in FIELDS[cls].items() if k not in defaults}
-    for record in (cls(**required), cls(*required.values())):
-        for name, value in defaults.items():
-            assert getattr(record, name) == value
+def test_every_field_is_required(cls):
+    fields = FIELDS[cls]
+    for name in fields:
+        with pytest.raises(TypeError, match=rf"missing .*'{name}'"):
+            cls(**{k: v for k, v in fields.items() if k != name})
 
 
 @TYPES
@@ -165,13 +163,13 @@ def test_post_init_checks_still_fire():
 
     class Checked(Record):
         x: int
-        y: int = 0
+        y: int
 
         def __post_init__(self):
             if self.x < self.y:
                 raise ValueError("x below y")
 
-    assert Checked(1).y == 0
+    assert Checked(1, 0).y == 0
     with pytest.raises(ValueError):
         Checked(1, y=2)
 

@@ -21,7 +21,7 @@ from toricfsig.rings import (
     Lattice,
     RingFormatError,
     RingSpec,
-    builtin_ring,
+    _FAMILY_ALIASES,
     is_prime,
     load_ring_file,
     parse_builtin,
@@ -31,10 +31,11 @@ from toricfsig.rings import (
     validate,
 )
 
+# builtins are never validated at run time, so every family is validated here
 ALL_BUILTINS = (
-    ["poly:1", "poly:2", "poly:3", "quadric"]
-    + [f"an:{n}" for n in range(2, 7)]
-    + [f"veronese:{n}" for n in range(2, 7)]
+    [f"poly:{d}" for d in range(1, 7)] + ["quadric"]
+    + [f"an:{n}" for n in range(2, 65)]
+    + [f"veronese:{n}" for n in range(2, 65)]
 )
 
 
@@ -154,32 +155,33 @@ def test_validate_singular_lattice():
 
 
 def test_builtin_param_errors():
-    with pytest.raises(ValueError):
-        builtin_ring("an_singularity", 1)
-    with pytest.raises(ValueError):
-        builtin_ring("veronese", 0)
-    with pytest.raises(ValueError):
-        builtin_ring("polynomial", 0)
-    with pytest.raises(ValueError):
-        builtin_ring("quadric_cone", 3)
-    with pytest.raises(ValueError):
-        builtin_ring("abc")
-    with pytest.raises(ValueError):
-        parse_builtin("nope:3")
-    with pytest.raises(ValueError):
-        parse_builtin("an")
-    with pytest.raises(ValueError):
-        parse_builtin("an:x")
-    for token in ("quadric:3", "quadric:0", "quadric_cone:1,2"):
-        with pytest.raises(ValueError, match="takes no parameters"):
+    cases = {
+        "an:1": "an_singularity needs n >= 2",
+        "veronese:0": "veronese needs n >= 2",
+        "poly:0": "polynomial ring needs dimension >= 1",
+        "quadric_cone:3": "builtin ring 'quadric_cone:3' takes no parameters",
+        "quadric:0": "builtin ring 'quadric:0' takes no parameters",
+        "quadric:3": "builtin ring 'quadric:3' takes no parameters",
+        "quadric_cone:1,2": "builtin ring 'quadric_cone:1,2' takes no parameters",
+        "abc": "unknown builtin ring 'abc'",
+        "nope:3": "unknown builtin ring 'nope:3'",
+        "an": "builtin ring 'an' needs exactly one parameter",
+        "an:x": "bad parameters in builtin ring 'an:x'",
+    }
+    for token, message in cases.items():
+        with pytest.raises(ValueError) as info:
             parse_builtin(token)
+        assert str(info.value) == message
 
 
 def test_parse_builtin_aliases():
-    assert parse_builtin("poly:2") == builtin_ring("polynomial", 2)
-    assert parse_builtin("polynomial:2").name == "poly:2"
-    assert parse_builtin("ver:3").name == "veronese:3"
-    assert parse_builtin("quadric_cone").name == "quadric"
+    canonical = {"polynomial": "poly:3", "an_singularity": "an:3",
+                 "veronese": "veronese:3", "quadric_cone": "quadric"}
+    for alias, family in _FAMILY_ALIASES.items():
+        address = alias if family == "quadric_cone" else f"{alias}:3"
+        assert parse_builtin(address).name == canonical[family]
+    assert parse_builtin("poly:2") == parse_builtin("polynomial:2")
+    assert parse_builtin("ver:3") == parse_builtin("veronese:3")
 
 
 def test_ring_file_round_trip(tmp_path):
