@@ -38,6 +38,7 @@ from .rings import (
     validate,
 )
 from .verify import (
+    csv_text,
     default_corpus,
     report_to_csv,
     report_to_json,
@@ -116,12 +117,10 @@ def cmd_classgroup(args) -> int:
     if args.format == "json":
         print(json.dumps(data, indent=2, sort_keys=True))
     elif args.format == "csv":
-        print("ring,group,free_rank,invariant_factors,torsion_cardinality")
         factors = ";".join(map(str, cg.invariant_factors))
-        print(
-            f"{spec.name},{data['group']},{cg.free_rank},"
-            f"{factors},{cg.torsion_cardinality}"
-        )
+        header = "ring,group,free_rank,invariant_factors,torsion_cardinality".split(",")
+        row = (spec.name, data["group"], cg.free_rank, factors, cg.torsion_cardinality)
+        sys.stdout.write(csv_text(header, [row]))
     else:
         print(f"ring: {spec.name}")
         print(f"class group: {data['group']}")
@@ -215,9 +214,8 @@ def cmd_decompose(args) -> int:
         else:
             print(json.dumps(doc, indent=2, sort_keys=True))
     elif args.format == "csv":
-        print("class,multiplicity")
-        for c, n in items:
-            print(f"{_class_label(c)},{n}")
+        labelled = [(_class_label(c), n) for c, n in items]
+        sys.stdout.write(csv_text(["class", "multiplicity"], labelled))
     else:
         print(f"ring: {spec.name}  p={args.p} e={args.e} q={ctx.q}  rank={dec.rank}")
         print(f"base divisor: {list(divisor.coeffs)}")

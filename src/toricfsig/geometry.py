@@ -20,8 +20,7 @@ alone, and so is the volume: the facets of a face are the inclusion-maximal
 proper vertex subsets that one more halfspace makes tight, each face is
 triangulated by coning from one vertex over the facets avoiding it, and
 every simplex volume is an integer determinant of rays over the product of
-their t.  The same incidence tells ring validation whether the region is
-flat and which halfspaces cut facets of it.
+their t.
 """
 
 from __future__ import annotations
@@ -90,16 +89,17 @@ def _primitive(v) -> tuple[int, ...]:
     return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
+def integer_row(coeffs) -> tuple[int, ...]:
+    """The primitive integer multiple of a rational row by a positive scale,
+    which keeps the halfspace h.x >= 0 as it is."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+
+
 def _cone_rows(halfspaces: list[Halfspace], dim: int) -> list[tuple[int, ...]]:
     """Primitive integer rows h of C = {x : h.x >= 0}: row i for halfspace i,
     then the row of t >= 0."""
-    rows = []
-    for a, b in halfspaces:
-        coeffs = [-x for x in a] + [b]
-        den = math.lcm(*(c.denominator for c in coeffs))
-        rows.append(_primitive([c.numerator * (den // c.denominator) for c in coeffs]))
-    rows.append((0,) * dim + (1,))
-    return rows
+    return [integer_row([-x for x in a] + [b]) for a, b in halfspaces] + [(0,) * dim + (1,)]
 
 
 def _independent_rows(rows, order, n: int) -> list[int]:
@@ -202,36 +202,28 @@ def _triangulate(face: int, dim: int, tight: list[int]) -> list[tuple[int, ...]]
     return simplices
 
 
+def row_incidence(rays, nrows: int) -> list[int]:
+    """Per row i of the ray list's cone, the bitmask of the rays (by their
+    index in ``rays``) whose zero set holds row i."""
+    return [sum(1 << v for v, (_, z) in enumerate(rays) if z >> i & 1) for i in range(nrows)]
+
+
 def vertex_incidence(halfspaces: list[Halfspace], dim: int):
     """The vertices of a bounded region {u : a.u <= b} as rays (u*t, t),
-    the bitmask tight[i] of the vertices halfspace i is tight at, and
-    whether the region is flat (empty or lower-dimensional).
-
-    A bounded region is lower-dimensional exactly when some halfspace with
-    a nonzero normal is tight at every vertex.
-    """
+    and the bitmask tight[i] of the vertices halfspace i is tight at."""
     vertices = _vertex_rays(halfspaces, dim)
-    everything = (1 << len(vertices)) - 1
-    tight = [
-        sum(1 << v for v, (_, z) in enumerate(vertices) if z >> i & 1)
-        for i in range(len(halfspaces))
-    ]
-    flat = not vertices or any(
-        t == everything and any(a) for t, (a, _) in zip(tight, halfspaces)
-    )
-    return vertices, tight, flat
+    return vertices, row_incidence(vertices, len(halfspaces))
 
 
 def incidence_volume(incidence, dim: int) -> Fraction:
     """Euclidean volume of a bounded region from its ``vertex_incidence``.
 
     Triangulates from the vertex-halfspace incidence and sums the simplex
-    volumes, exact because every determinant is an integer.  A flat region
-    yields 0.
+    volumes, exact because every determinant is an integer.  An empty
+    region has no simplex, and every simplex of a lower-dimensional one has
+    determinant 0, so both yield 0.
     """
-    vertices, tight, flat = incidence
-    if flat:
-        return Fraction(0)
+    vertices, tight = incidence
     total = Fraction(0)
     for simplex in _triangulate((1 << len(vertices)) - 1, dim, tight):
         rays = [vertices[v][0] for v in simplex]

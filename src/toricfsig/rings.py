@@ -18,7 +18,15 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .geometry import dot, incidence_volume, vertex_incidence
+from .geometry import (
+    _extreme_rays,
+    dot,
+    incidence_volume,
+    integer_row,
+    matrix_rank,
+    row_incidence,
+    vertex_incidence,
+)
 from .linalg import IntMat
 from .record import Record
 
@@ -88,7 +96,8 @@ class RingSpec(Record):
     def unit_region(self):
         """``vertex_incidence`` of P = {c : 0 <= g_i.c <= 1} in lattice
         coordinates: halfspace 2i is g_i.c >= 0 and 2i + 1 is g_i.c <= 1.
-        P has a vertex exactly when the cone is pointed, as it holds 0."""
+        The exact volume, ``unit_region_vertices`` and the box oracle read
+        it; ``validate`` answers its questions on the cone and never does."""
         halfspaces = []
         for g in self.pairings:
             halfspaces += [(tuple(-x for x in g), 0), (g, 1)]
@@ -155,20 +164,22 @@ def validate(spec: RingSpec) -> list[str]:
             if spec.facets[i].covector == spec.facets[j].covector:
                 violations.append(f"duplicate facet ({i}, {j})")
 
-    vertices, tight, flat = spec.unit_region
-    if not vertices:
+    if matrix_rank(spec.pairings) < d:
         violations.append("cone not pointed")
         return violations
-    if flat:
+    # the rays of C = {c : g_i.c >= 0}, from the rows of G scaled to integers
+    rows = [integer_row(g) for g in spec.pairings]
+    rays = _extreme_rays(rows, d - 1)
+    tight = row_incidence(rays, len(rows))
+    everything = (1 << len(rays)) - 1
+    if not rays or any(t == everything and any(g) for t, g in zip(tight, rows)):
         violations.append("cone not full-dimensional")
         return violations
-    # halfspace 2i is facet_i >= 0, and it cuts a facet of the region
-    # exactly when its vertex set is a maximal proper nonempty one among
-    # all the halfspaces' vertex sets
-    everything = (1 << len(vertices)) - 1
-    proper = {t for t in tight if t and t != everything}
-    for i in range(len(spec.facets)):
-        t = tight[2 * i]
+    # facet i is irredundant exactly when its ray set is a maximal proper
+    # one among all the facets' ray sets, the empty set too: in d = 1 the
+    # one facet is tight on no ray
+    proper = {t for t in tight if t != everything}
+    for i, t in enumerate(tight):
         if t not in proper or any(c != t and c & t == t for c in proper):
             violations.append(f"redundant facet (facet {i})")
     return violations

@@ -178,36 +178,24 @@ def report_to_json(report: CorpusReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-CSV_FIELDS = [
-    "ring",
-    "p",
-    "torsion_cardinality",
-    "exact_signature",
-    "inequality_holds",
-    "equality",
-    "max_q",
-]
-
-
-def report_to_csv(report: CorpusReport) -> str:
+def csv_text(header, rows) -> str:
+    """CSV of a header and rows, a field quoted only where it holds a comma,
+    a double quote or a line break."""
     import csv  # here, not at the top: only --format csv needs it
 
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for v in report.verdicts:
-        writer.writerow(
-            {
-                "ring": v.ring,
-                "p": v.p,
-                "torsion_cardinality": v.torsion_cardinality,
-                "exact_signature": str(v.exact_signature),
-                "inequality_holds": v.inequality_holds,
-                "equality": v.equality,
-                "max_q": max((w.q for w in v.witnesses), default=""),
-            }
-        )
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     return buf.getvalue()
+
+
+def report_to_csv(report: CorpusReport) -> str:
+    header = "ring,p,torsion_cardinality,exact_signature,inequality_holds,equality,max_q"
+    rows = [
+        (v.ring, v.p, v.torsion_cardinality, v.exact_signature, v.inequality_holds,
+         v.equality, max((w.q for w in v.witnesses), default=""))
+        for v in report.verdicts
+    ]
+    return csv_text(header.split(","), rows)
 
 
 def violation_bundle(verdict: TheoremVerdict, spec: RingSpec) -> dict:

@@ -41,6 +41,7 @@ def _doc(dim, basis, facets, name="bad"):
 
 
 I2 = [[1, 0], [0, 1]]
+I16 = [[int(i == j) for j in range(16)] for i in range(16)]
 # name -> file text; the bad_* files trip each message of rings.validate
 # that a ring file can reach, and the broken_* ones the file reader
 RING_FILES = {
@@ -56,6 +57,11 @@ RING_FILES = {
     # facets (1, N) and (N, 1) on Z^2, N = 10^5: each column of G sums past
     # every q that the commands below use
     "wide.json": _doc(2, I2, [["1", "100000"], ["100000", "1"]], "wide"),
+    # the coordinate facets of d = 16: 16 rays, where the unit region has
+    # 2^16 vertices
+    "poly16.json": _doc(16, I16, [[str(x) for x in row] for row in I16], "poly16"),
+    # a name whose CSV field needs quoting
+    "quoted.json": json.dumps({**MIXED, "name": 'mixed, "quoted"'}),
     "bad_dim0.json": _doc(0, [], []),
     "bad_rank.json": _doc(2, [[1, 0], [2, 0]], [["1", "0"], ["0", "1"]]),
     "bad_integral.json": _doc(2, I2, [["1/2", "0"], ["0", "1"]]),
@@ -145,6 +151,8 @@ def commands() -> list[list[str]]:
         ["verify", "--ring", "wide.json", "-p", "2,3", "-e", "2"],
         ["fsig", "--ring", "wide.json", "-p", "2", "-e", "3", "--exact"],
     ]
+    out += [["classgroup", "--ring", name, "--format", fmt]
+            for name in ("poly16.json", "quoted.json") for fmt in FORMATS]
     # --detail with q^2 = 16,384 distinct numerators, more than the
     # writer's memo holds
     for fmt in ("text", "json"):

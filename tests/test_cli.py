@@ -10,10 +10,12 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_frobenius import random_spec
 from toricfsig.cli import main
+from toricfsig.rings import ring_to_dict, validate
 
 PKG_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
@@ -609,8 +611,38 @@ def _spoil(draw, rows):
         rows[i][j] = draw(ODD_VALUES)
 
 
+# every subcommand at its smallest q; the wide documents go through
+# classgroup only, since their d is past the exact volume's limit
+FUZZ_COMMANDS = (
+    ["classgroup"],
+    ["decompose", "-p", "2", "-e", "1"],
+    ["fsig", "-p", "2", "-e", "1"],
+    ["verify", "-p", "2", "-e", "1"],
+)
+
+
 @st.composite
 def ring_documents(draw):
+    """A ring document and the commands to run on it."""
+    branch = draw(st.integers(0, 3))
+    if branch == 0:
+        # the coordinate facets of d = 5..16, whose unit region has 2^d
+        # vertices, and up to 3 more rows
+        d = draw(st.integers(5, 16))
+        basis = [[int(i == j) for j in range(d)] for i in range(d)]
+        facets = [[str(x) for x in row] for row in basis]
+        facets += [[draw(FRACTION) for _ in range(d)] for _ in range(draw(st.integers(0, 3)))]
+        doc = {"name": "wide", "dim": d, "lattice_basis": basis, "facets": facets}
+        return doc, FUZZ_COMMANDS[:1]
+    if branch == 1:
+        # a random valid ring in d = 1..4, or one with a planted defect
+        kind = draw(st.sampled_from(("plain", "redundant", "flat", "duplicate", "multiple")))
+        rng = draw(st.randoms(use_true_random=False))
+        d = draw(st.integers(1, 4))
+        spec = random_spec(rng, d, kind)
+        while kind == "plain" and validate(spec):
+            spec = random_spec(rng, d)
+        return ring_to_dict(spec), FUZZ_COMMANDS
     d = draw(st.integers(0, 4))
     if d and draw(st.booleans()):
         # identity basis and coordinate facets first, so the ring can validate
@@ -629,21 +661,31 @@ def ring_documents(draw):
     doc = {"name": "fuzz", "dim": d, "lattice_basis": basis, "facets": facets}
     if draw(st.integers(0, 5)) == 0:
         doc["dim"] = draw(st.one_of(st.integers(-1, 5), ODD_VALUES))
-    return doc
+    return doc, FUZZ_COMMANDS
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(ring_documents())
-def test_ring_documents_exit_0_2_or_3_without_traceback(doc):
+@example(({"name": "empty", "dim": 0, "lattice_basis": [], "facets": []}, FUZZ_COMMANDS))
+def test_ring_documents_exit_0_2_or_3_without_traceback(case):
+    # each command gives its exit code, at most one line on stderr and no
+    # traceback, within a CPU budget that no double description of a unit
+    # region with 2^16 vertices would meet
+    doc, commands = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ring.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["classgroup", "--ring", path])
-    assert code in (0, 2, 3)
-    assert "Traceback" not in err.getvalue()
+        for command, *options in commands:
+            err = io.StringIO()
+            start = time.process_time()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--ring", path, *options])
+            spent = time.process_time() - start
+            assert code in (0, 2, 3), (command, err.getvalue())
+            assert len(err.getvalue().splitlines()) <= 1, (command, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            assert spent < 1.0, (command, spent)
 
 
 def _run_in_process(argv, env_cap=None):
@@ -683,6 +725,26 @@ def test_builtins_run_no_vertex_enumeration(monkeypatch):
     code, out, err = _run_in_process(["verify", "--builtin", "poly:5", "-p", "2", "-e", "1"])
     assert code == 2
     assert "exact volume supports dimension <= 4, got 5" in out + err
+    assert calls == []
+
+
+def test_wide_ring_file_validates_on_its_cone(tmp_path, monkeypatch):
+    # the coordinate facets of d = 16 give a cone of 16 rays, and validate
+    # never enumerates the 2^16 vertices of the unit region
+    from toricfsig import geometry
+
+    identity = [[int(i == j) for j in range(16)] for i in range(16)]
+    doc = {"name": "poly16", "dim": 16, "lattice_basis": identity,
+           "facets": [[str(x) for x in row] for row in identity]}
+    path = tmp_path / "poly16.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+    monkeypatch.setattr(geometry, "_vertex_rays", lambda *a: calls.append(a) or [])
+    start = time.process_time()
+    code, out, err = _run_in_process(["classgroup", "--ring", str(path)])
+    assert code == 0, err
+    assert time.process_time() - start < 1.0
+    assert "class group: trivial" in out
     assert calls == []
 
 
@@ -730,9 +792,6 @@ def _ring_files(argv, tmp_path):
     """argv with the ring-file placeholders replaced by written files."""
     docs = {DENSE_FILE: DENSE}
     if RING_FILE in argv:
-        from test_frobenius import random_spec
-        from toricfsig.rings import ring_to_dict, validate
-
         rng = random.Random(11)
         spec = random_spec(rng, 3)
         while validate(spec):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -11,7 +12,9 @@ from helpers import (
     dump_ring_file,
     point_from_coefficients,
 )
-from test_frobenius import random_spec
+from regen_golden import RING_FILES
+from test_cli import DENSE
+from test_frobenius import BOX_RING, KLEIN, MIXED, random_spec
 from test_geometry import affine_rank
 
 from toricfsig.geometry import matrix_rank
@@ -337,3 +340,50 @@ def test_validate_matches_affine_rank_reference():
         seen["duplicate"] += any(v.startswith("duplicate facet") for v in got)
         seen["valid"] += not got
     assert min(seen.values()) >= 20, seen
+
+
+BAD_FILE_VERDICTS = {
+    "bad_dim0.json": ["dimension must be at least 1"],
+    "bad_rank.json": ["lattice basis not full rank"],
+    "bad_integral.json": ["functional not integer-valued on L (facet 0)"],
+    "bad_primitive.json": ["functional not primitive on L (facet 0)"],
+    "bad_duplicate.json": ["duplicate facet (0, 2)"],
+    "bad_pointed.json": ["cone not pointed"],
+    "bad_flat.json": ["cone not full-dimensional"],
+    "bad_redundant.json": ["redundant facet (facet 2)"],
+    "bad_several.json": [
+        "functional not integer-valued on L (facet 0)",
+        "functional not primitive on L (facet 1)",
+        "functional not primitive on L (facet 2)",
+        "duplicate facet (1, 2)",
+    ],
+    "bad_half_redundant.json": [
+        "functional not integer-valued on L (facet 0)", "redundant facet (facet 2)"
+    ],
+    "bad_half_pointed.json": ["functional not integer-valued on L (facet 0)", "cone not pointed"],
+}
+
+
+def test_validate_never_reads_the_unit_region(monkeypatch):
+    # validate answers its questions on the cone {c : g_i.c >= 0}, which has
+    # d rays where the unit region of poly:d has 2^d vertices: with the unit
+    # region made to raise, every verdict stands
+    rng = random.Random(31)
+    kinds = ("plain", "redundant", "flat", "duplicate", "multiple")
+    cases = [random_spec(rng, 1 + case % 4, kinds[case // 4 % len(kinds)]) for case in range(1000)]
+    want = [validate(spec) for spec in cases]  # pinned by the affine-rank reference test
+
+    def refuse(spec):
+        raise AssertionError(f"validate read the unit region of {spec.name}")
+
+    monkeypatch.setattr(RingSpec, "unit_region", property(refuse))
+    assert sorted(BAD_FILE_VERDICTS) == sorted(n for n in RING_FILES if n.startswith("bad_"))
+    for name, verdict in BAD_FILE_VERDICTS.items():
+        assert validate(ring_from_dict(json.loads(RING_FILES[name]))) == verdict, name
+    for doc in (KLEIN, MIXED, BOX_RING, DENSE):
+        assert validate(ring_from_dict(doc)) == [], doc["name"]
+    for token in ALL_BUILTINS:
+        assert validate(parse_builtin(token)) == [], token
+    assert [validate(spec) for spec in cases] == want
+    with pytest.raises(AssertionError, match="read the unit region"):
+        unit_region_vertices(cases[0])
