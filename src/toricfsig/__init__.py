@@ -2,8 +2,8 @@
 divisor class groups, Frobenius splitting decompositions, F-signatures, and
 a verifier for the torsion bound |tors Cl(R)| <= 1/s(R)."""
 
+from .caps import CapExceededError
 from .divisors import (
-    CapExceededError,
     ClassElement,
     ClassGroupData,
     WeilDivisor,

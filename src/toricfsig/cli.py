@@ -27,8 +27,9 @@ import math
 import os
 import sys
 
-from .divisors import CapExceededError, WeilDivisor, class_group
-from .frobenius import FrobeniusContext, coset_rows, decompose, numerator_memo, resolve_cap
+from .caps import CapExceededError, resolve_cap
+from .divisors import WeilDivisor, class_group
+from .frobenius import FrobeniusContext, coset_rows, decompose, numerator_memo
 from .fsignature import exact_signature_volume, signature_sequence
 from .rings import (
     RingFormatError,
@@ -62,7 +63,7 @@ def _resolve_ring(args) -> RingSpec:
     if args.builtin is not None:
         return parse_builtin(args.builtin)
     spec = load_ring_file(args.ring)
-    problems = validate(spec)
+    problems = validate(spec, vars(args).get("cap"))
     if problems:
         raise RingFormatError(
             f"invalid ring file {args.ring}: " + "; ".join(problems)
@@ -149,11 +150,10 @@ def cmd_fsig(args) -> int:
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     elif args.format == "csv":
-        print("e,q,a_e,s_e")
-        for est in seq:
-            print(f"{est.ctx.e},{est.ctx.q},{est.a_e},{est.s_e}")
+        rows = [(est.ctx.e, est.ctx.q, est.a_e, est.s_e) for est in seq]
         if exact:
-            print(f"exact,,,{exact.value}")
+            rows.append(("exact", "", "", exact.value))
+        sys.stdout.write(csv_text(["e", "q", "a_e", "s_e"], rows))
     else:
         print(f"ring: {spec.name}  p={args.p}")
         for est in seq:

@@ -13,16 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 
+from .caps import ENUMERATION_CAP, CapExceededError
 from .linalg import IntMat, smith_normal_form
 from .record import Record
 from .rings import RingSpec
-
-ENUMERATION_CAP = 2**24
-
-
-class CapExceededError(RuntimeError):
-    """An enumeration would exceed the configured cap; raise it with the
-    --cap flag or the TORICFSIG_CAP environment variable."""
 
 
 class WeilDivisor(Record):

@@ -43,40 +43,13 @@ import functools
 import itertools
 import math
 import operator
-import os
 import warnings
 from fractions import Fraction
 
+from .caps import CAP_ENV_VAR, CapExceededError, check_cap, resolve_cap
 from .record import Record
-from .divisors import (
-    ENUMERATION_CAP,
-    CapExceededError,
-    ClassElement,
-    WeilDivisor,
-    class_group,
-    class_of,
-)
+from .divisors import ClassElement, WeilDivisor, class_group, class_of
 from .rings import RingSpec, is_prime
-
-CAP_ENV_VAR = "TORICFSIG_CAP"
-
-
-def resolve_cap(cap: int | None) -> int:
-    """Explicit cap, else the environment override, else the default; a
-    negative cap, or an override that is not an integer, is bad input."""
-    source = "--cap"
-    if cap is None:
-        env = os.environ.get(CAP_ENV_VAR)
-        if not env:
-            return ENUMERATION_CAP
-        source = CAP_ENV_VAR
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
-    if cap < 0:
-        raise ValueError(f"{source} must be at least 0, got {cap}")
-    return cap
 
 
 class FrobeniusContext(Record):
@@ -110,14 +83,6 @@ class FrobeniusDecomposition(Record):
         return self.ctx.q ** self.spec.dim
 
 
-def _check_cap(count: int, cap: int, what: str, unit: str = "points") -> None:
-    if count > cap:
-        raise CapExceededError(
-            f"{what} needs {count} {unit}, over the cap of {cap}; "
-            f"raise it with --cap or {CAP_ENV_VAR}"
-        )
-
-
 def _coset_space(spec: RingSpec, divisor: WeilDivisor, ctx: FrobeniusContext, cap) -> int:
     """q, once the divisor length is checked and q^d is within the cap."""
     if len(divisor) != spec.num_facets:
@@ -133,7 +98,7 @@ def _coset_space(spec: RingSpec, divisor: WeilDivisor, ctx: FrobeniusContext, ca
             f"raise it with --cap or {CAP_ENV_VAR}"
         )
     q = ctx.q
-    _check_cap(q**d, cap, f"coset enumeration for q^d = {q}^{d}")
+    check_cap(q**d, cap, f"coset enumeration for q^d = {q}^{d}")
     return q
 
 
@@ -602,7 +567,7 @@ def box_count_oracle(
     t = max(range(spec.dim), key=lambda k: len(ranges[k]))
     t_range = ranges.pop(t)
     lines = math.prod(map(len, ranges))
-    _check_cap(lines, resolve_cap(cap), "bounding-box enumeration", "lines")
+    check_cap(lines, resolve_cap(cap), "bounding-box enumeration", "lines")
     facets = [(row[t], row[:t] + row[t + 1 :]) for row in spec.pairings]
     count = 0
     for c in itertools.product(*ranges):

@@ -10,9 +10,13 @@ whose extreme rays with t > 0 are the vertices (u, 1) scaled by t.  The
 rays come from the double description method (Fukuda and Prodon, "Double
 description method revisited", 1996): start from the simplicial cone of
 d + 1 independent rows, insert the other rows one at a time, and combine
-only the adjacent pairs of rays the new row separates.  Every ray is a
-primitive integer vector, so no Fraction appears until a vertex is divided
-by its t.
+only the adjacent pairs of rays the new row separates.  The starting rows
+B are the pivot columns of the Hermite normal form of the rows read as
+columns, t >= 0 first, and the starting rays are the columns of
+B^-1 = V S^-1 U, from the Smith form U B V = S.  Rows of rank below d + 1
+give no starting cone: the cone then contains a line, and the double
+description returns None.  Every ray is a primitive integer vector, so no
+Fraction appears until a vertex is divided by its t.
 
 Each ray carries its zero set, the bitmask of rows it is tight on, which is
 the exact vertex-halfspace incidence.  Adjacency is decided from zero sets
@@ -28,7 +32,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .linalg import IntMat
+from .caps import check_cap
+from .linalg import IntMat, hermite_normal_form, smith_normal_form
 
 Point = tuple[Fraction, ...]
 Halfspace = tuple[tuple[Fraction, ...], Fraction]
@@ -102,55 +107,42 @@ def _cone_rows(halfspaces: list[Halfspace], dim: int) -> list[tuple[int, ...]]:
     return [integer_row([-x for x in a] + [b]) for a, b in halfspaces] + [(0,) * dim + (1,)]
 
 
-def _independent_rows(rows, order, n: int) -> list[int]:
-    """The first n linearly independent rows taken in the given order, or
-    fewer when the rows have rank below n."""
-    echelon = []  # (pivot, row), each row zero at every earlier pivot
-    chosen = []
-    for k in order:
-        r = rows[k]
-        for p, e in echelon:
-            if r[p]:
-                r = _primitive([e[p] * x - r[p] * y for x, y in zip(r, e)])
-        pivot = next((j for j, x in enumerate(r) if x), None)
-        if pivot is not None:
-            echelon.append((pivot, r))
-            chosen.append(k)
-            if len(chosen) == n:
-                break
-    return chosen
-
-
-def _extreme_rays(rows, dim: int):
+def _extreme_rays(rows, dim: int, cap: int | None = None):
     """Extreme rays of {x in R^(dim+1) : h.x >= 0 for every row h}, each a
     primitive integer ray with its zero set (bit k: tight on rows[k]).
-    Empty when the rows have rank below dim + 1: the cone then contains a
-    line, and the polyhedron has no vertex."""
+    None when the rows have rank below dim + 1: the cone then contains a
+    line.  With a cap, raises CapExceededError once the pairs of rays that
+    the inserted rows test add up to more than the cap."""
     n = dim + 1
-    order = [len(rows) - 1] + list(range(len(rows) - 1))  # t >= 0 first
-    basis = _independent_rows(rows, order, n)
-    if len(basis) < n:
-        return []
-    # the simplicial cone of the basis rows: ray j is tight on every basis
-    # row but the j-th, and is their generalised cross product
-    rays, zeros = [], []
-    for k in basis:
-        others = [rows[i] for i in basis if i != k]
-        ray = [
-            (-1) ** c * IntMat.from_rows([r[:c] + r[c + 1:] for r in others]).det()
-            for c in range(n)
-        ]
-        if sum(x * y for x, y in zip(rows[k], ray)) < 0:
-            ray = [-x for x in ray]
-        rays.append(_primitive(ray))
-        zeros.append(sum(1 << i for i in basis if i != k))
+    indices = list(range(len(rows)))
+    order = indices[-1:] + indices[:-1]  # t >= 0 first
+    # the first n independent rows in that order are the pivot columns of
+    # the Hermite form of the rows read as columns; its zero rows trail
+    columns = IntMat(n, len(order), tuple(rows[k][i] for i in range(n) for k in order))
+    hnf, _ = hermite_normal_form(columns)
+    pivots = [next((j for j, x in enumerate(hnf.row(i)) if x), None) for i in range(n)]
+    if pivots[-1] is None:
+        return None
+    basis = [order[j] for j in pivots]
+    # the simplicial cone of the basis rows B: ray j is column j of B^-1,
+    # tight on every basis row but the j-th, here V diag(s_n/s_i) U
+    smith = smith_normal_form(IntMat.from_rows([rows[k] for k in basis]))
+    scale = [smith.S.at(dim, dim) // s for s in smith.diagonal()]
+    rays = [_primitive(smith.V.mul_vector([c * x for c, x in zip(scale, smith.U.col(j))]))
+            for j in range(n)]
+    in_basis = sum(1 << k for k in basis)
+    zeros = [in_basis ^ (1 << k) for k in basis]
+    pair_tests = 0
     for k in order:
-        if k in basis:
+        if in_basis >> k & 1:
             continue
         h, bit = rows[k], 1 << k
         vals = [sum(x * y for x, y in zip(h, r)) for r in rays]
         pos = [i for i, v in enumerate(vals) if v > 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
+        pair_tests += len(pos) * len(neg)
+        if cap is not None:
+            check_cap(pair_tests, cap, "the cone's double description", "pair tests")
         new_rays = [r for r, v in zip(rays, vals) if v >= 0]
         new_zeros = [z | bit if v == 0 else z for z, v in zip(zeros, vals) if v >= 0]
         for i in pos:
@@ -172,7 +164,8 @@ def _extreme_rays(rows, dim: int):
 def _vertex_rays(halfspaces: list[Halfspace], dim: int):
     """The vertices of {u : a.u <= b} as rays (u*t, t) with t > 0, each with
     its zero set over the halfspaces."""
-    return [(r, z) for r, z in _extreme_rays(_cone_rows(halfspaces, dim), dim) if r[-1] > 0]
+    rays = _extreme_rays(_cone_rows(halfspaces, dim), dim) or []
+    return [(r, z) for r, z in rays if r[-1] > 0]
 
 
 def enumerate_vertices(halfspaces: list[Halfspace], dim: int) -> list[Point]:
@@ -193,13 +186,15 @@ def _triangulate(face: int, dim: int, tight: list[int]) -> list[tuple[int, ...]]
     if face.bit_count() == dim + 1:
         return [tuple(v for v in range(face.bit_length()) if face >> v & 1)]
     apex = face & -face
-    cuts = {t & face for t in tight} - {0, face}
-    simplices = []
-    for facet in cuts:
-        if facet & apex or any(c != facet and c & facet == facet for c in cuts):
-            continue
-        simplices += [(apex.bit_length() - 1,) + s for s in _triangulate(facet, dim - 1, tight)]
-    return simplices
+    facets = maximal({t & face for t in tight} - {0, face})
+    return [(apex.bit_length() - 1,) + s for facet in facets if not facet & apex
+            for s in _triangulate(facet, dim - 1, tight)]
+
+
+def maximal(masks: set[int]) -> set[int]:
+    """The inclusion-maximal members of a set of bitmasks.  Among the proper
+    vertex or ray sets that rows make tight, they are the facets."""
+    return {m for m in masks if not any(c != m and c & m == m for c in masks)}
 
 
 def row_incidence(rays, nrows: int) -> list[int]:

@@ -18,12 +18,13 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
+from .caps import resolve_cap
 from .geometry import (
     _extreme_rays,
     dot,
     incidence_volume,
     integer_row,
-    matrix_rank,
+    maximal,
     row_incidence,
     vertex_incidence,
 )
@@ -131,13 +132,15 @@ def unit_region_vertices(spec: RingSpec):
     ))
 
 
-def validate(spec: RingSpec) -> list[str]:
+def validate(spec: RingSpec, cap: int | None = None) -> list[str]:
     """Check every well-formedness invariant; violations come back as data.
 
     An empty list means the ring description is a valid pointed
     full-dimensional cone over a full-rank lattice with primitive,
-    irredundant, integer-valued facet functionals.
+    irredundant, integer-valued facet functionals.  The double description
+    of the cone counts its pair tests against the resolved cap.
     """
+    cap = resolve_cap(cap)
     d = spec.dim
     if d < 1:
         return ["dimension must be at least 1"]
@@ -164,12 +167,12 @@ def validate(spec: RingSpec) -> list[str]:
             if spec.facets[i].covector == spec.facets[j].covector:
                 violations.append(f"duplicate facet ({i}, {j})")
 
-    if matrix_rank(spec.pairings) < d:
-        violations.append("cone not pointed")
-        return violations
     # the rays of C = {c : g_i.c >= 0}, from the rows of G scaled to integers
     rows = [integer_row(g) for g in spec.pairings]
-    rays = _extreme_rays(rows, d - 1)
+    rays = _extreme_rays(rows, d - 1, cap)
+    if rays is None:
+        violations.append("cone not pointed")
+        return violations
     tight = row_incidence(rays, len(rows))
     everything = (1 << len(rays)) - 1
     if not rays or any(t == everything and any(g) for t, g in zip(tight, rows)):
@@ -178,10 +181,9 @@ def validate(spec: RingSpec) -> list[str]:
     # facet i is irredundant exactly when its ray set is a maximal proper
     # one among all the facets' ray sets, the empty set too: in d = 1 the
     # one facet is tight on no ray
-    proper = {t for t in tight if t != everything}
-    for i, t in enumerate(tight):
-        if t not in proper or any(c != t and c & t == t for c in proper):
-            violations.append(f"redundant facet (facet {i})")
+    facets = maximal(set(tight) - {everything})
+    violations += [f"redundant facet (facet {i})" for i, t in enumerate(tight)
+                   if t not in facets]
     return violations
 
 

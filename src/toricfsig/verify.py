@@ -17,7 +17,8 @@ import io
 import json
 from fractions import Fraction
 
-from .divisors import CapExceededError, WeilDivisor, class_group
+from .caps import CapExceededError
+from .divisors import WeilDivisor, class_group
 from .frobenius import (
     FrobeniusContext,
     coset_rows,

@@ -41,6 +41,7 @@ def _doc(dim, basis, facets, name="bad"):
 
 
 I2 = [[1, 0], [0, 1]]
+I9 = [[int(i == j) for j in range(9)] for i in range(9)]
 I16 = [[int(i == j) for j in range(16)] for i in range(16)]
 # name -> file text; the bad_* files trip each message of rings.validate
 # that a ring file can reach, and the broken_* ones the file reader
@@ -60,6 +61,10 @@ RING_FILES = {
     # the coordinate facets of d = 16: 16 rays, where the unit region has
     # 2^16 vertices
     "poly16.json": _doc(16, I16, [[str(x) for x in row] for row in I16], "poly16"),
+    # the facets (1, t, ..., t^8), t = 1..28: a cone in d = 9 whose 12,397
+    # rays take a double description of more than 2^24 pair tests
+    "cyclic28.json": _doc(9, I9, [[str(t**i) for i in range(9)] for t in range(1, 29)],
+                          "cyclic28"),
     # a name whose CSV field needs quoting
     "quoted.json": json.dumps({**MIXED, "name": 'mixed, "quoted"'}),
     "bad_dim0.json": _doc(0, [], []),
@@ -208,6 +213,10 @@ def commands() -> list[list[str]]:
         ["verify", "--corpus", "-p", "2", "-e", "3", "--cap", "40"],
         ["verify", "--corpus", "-p", "2", "-e", "3", "--cap", "40", "--format", "json"],
         ["decompose", "--builtin", "an:5", "-p", "2", "-e", "1", "--cap", "0"],
+        # in validate, on the pair tests of the cone's double description
+        ["verify", "--ring", "cyclic28.json", "-p", "2", "-e", "1", "--cap", "100000"],
+        ["verify", "--ring", "cyclic28.json", "-p", "2", "-e", "1", "--cap", "100000",
+         "--format", "json"],
     ]
     return out
 

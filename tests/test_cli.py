@@ -667,6 +667,8 @@ def ring_documents(draw):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(ring_documents())
 @example(({"name": "empty", "dim": 0, "lattice_basis": [], "facets": []}, FUZZ_COMMANDS))
+@example(({"name": "nofacets", "dim": 2, "lattice_basis": [[1, 0], [0, 1]], "facets": []},
+          FUZZ_COMMANDS))
 def test_ring_documents_exit_0_2_or_3_without_traceback(case):
     # each command gives its exit code, at most one line on stderr and no
     # traceback, within a CPU budget that no double description of a unit
@@ -746,6 +748,27 @@ def test_wide_ring_file_validates_on_its_cone(tmp_path, monkeypatch):
     assert time.process_time() - start < 1.0
     assert "class group: trivial" in out
     assert calls == []
+
+
+def test_ring_file_cone_is_capped(tmp_path):
+    # classgroup has no --cap, so validate reads TORICFSIG_CAP: the pair
+    # tests of the 28-facet cone's double description pass it at once, and
+    # the 16 rays of the d = 16 coordinate facets need none
+    from regen_golden import RING_FILES
+
+    paths = {}
+    for name in ("cyclic28.json", "poly16.json"):
+        paths[name] = tmp_path / name
+        paths[name].write_text(RING_FILES[name])
+    start = time.process_time()
+    code, out, err = _run_in_process(["classgroup", "--ring", str(paths["cyclic28.json"])], "10")
+    assert (code, out) == (3, "")
+    assert err == ("error: the cone's double description needs 20 pair tests, over the "
+                   "cap of 10; raise it with --cap or TORICFSIG_CAP\n")
+    code, out, err = _run_in_process(["classgroup", "--ring", str(paths["poly16.json"])], "10")
+    assert code == 0, err
+    assert "class group: trivial" in out
+    assert time.process_time() - start < 1.0
 
 
 def _fresh(body):

@@ -9,6 +9,7 @@ from test_frobenius import KLEIN, MIXED
 
 from toricfsig.fsignature import exact_signature_volume
 from toricfsig.geometry import (
+    _extreme_rays,
     dot,
     enumerate_vertices,
     matrix_rank,
@@ -87,6 +88,15 @@ def test_ranks():
     assert affine_rank([]) == -1
     assert affine_rank([(F(3), F(4))]) == 0
     assert affine_rank([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]) == 2
+
+
+def test_a_cone_with_a_line_has_no_ray_list():
+    # rows of rank below dim + 1, no rows at all among them, leave a line in
+    # the cone; a pointed cone gives its rays, and {0} none
+    assert _extreme_rays([], 1) is None
+    assert _extreme_rays([(1, 0), (2, 0), (-1, 0)], 1) is None
+    assert _extreme_rays([(1,), (-1,)], 0) == []
+    assert _extreme_rays([(1, 0), (1, 2), (2, 1)], 1) == [((0, 1), 0b001), ((2, -1), 0b010)]
 
 
 def test_det_fraction():

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,7 @@ from test_cli import DENSE
 from test_frobenius import BOX_RING, KLEIN, MIXED, random_spec
 from test_geometry import affine_rank
 
+from toricfsig.caps import CapExceededError
 from toricfsig.geometry import matrix_rank
 from toricfsig.linalg import IntMat
 from toricfsig.rings import (
@@ -387,3 +389,13 @@ def test_validate_never_reads_the_unit_region(monkeypatch):
     assert [validate(spec) for spec in cases] == want
     with pytest.raises(AssertionError, match="read the unit region"):
         unit_region_vertices(cases[0])
+
+
+def test_validate_caps_the_cones_double_description():
+    # the 28 facets (1, t, ..., t^8) give a cone of 12,397 rays, about 14 s
+    # of double description; a cap of 10 stops it at the first inserted rows
+    spec = ring_from_dict(json.loads(RING_FILES["cyclic28.json"]))
+    start = time.process_time()
+    with pytest.raises(CapExceededError, match="needs 20 pair tests, over the cap of 10;"):
+        validate(spec, cap=10)
+    assert time.process_time() - start < 0.5
