@@ -23,7 +23,7 @@ from .frobenius import (
 )
 from .fsignature import (
     ExactFSignature,
-    FSignatureEstimate,
+    WitnessRow,
     exact_signature_volume,
     signature_sequence,
     singh_determinantal_signature,
@@ -58,7 +58,6 @@ __all__ = [
     "ClassElement",
     "ClassGroupData",
     "ExactFSignature",
-    "FSignatureEstimate",
     "FacetFunctional",
     "FrobeniusContext",
     "FrobeniusDecomposition",
@@ -69,6 +68,7 @@ __all__ = [
     "SmithDecomposition",
     "TheoremVerdict",
     "WeilDivisor",
+    "WitnessRow",
     "box_count_oracle",
     "class_group",
     "class_of",

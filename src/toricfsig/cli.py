@@ -28,7 +28,7 @@ import os
 import sys
 
 from .caps import CapExceededError, resolve_cap
-from .divisors import WeilDivisor, class_group
+from .divisors import WeilDivisor, class_group, class_of
 from .frobenius import FrobeniusContext, coset_rows, decompose, numerator_memo
 from .fsignature import exact_signature_volume, signature_sequence
 from .rings import (
@@ -134,6 +134,14 @@ def cmd_classgroup(args) -> int:
 def cmd_fsig(args) -> int:
     spec = _resolve_ring(args)
     divisor = _parse_divisor(args.divisor, spec) if args.divisor is not None else None
+    if args.exact and divisor is not None:
+        cg = class_group(spec)
+        if any(class_of(cg, divisor).free):
+            # s_e of a class of infinite order does not tend to s
+            raise ValueError(
+                f"--exact needs a torsion --divisor; {args.divisor} has infinite "
+                f"order in Cl = {_group_label(cg)}"
+            )
     seq = signature_sequence(spec, args.p, args.e_max, divisor=divisor, cap=args.cap)
     exact = exact_signature_volume(spec) if args.exact else None
     if args.format == "json":
@@ -142,7 +150,7 @@ def cmd_fsig(args) -> int:
             "p": args.p,
             "divisor": list(divisor.coeffs) if divisor else None,
             "sequence": [
-                {"e": est.ctx.e, "q": est.ctx.q, "a_e": est.a_e, "s_e": str(est.s_e)}
+                {"e": est.e, "q": est.q, "a_e": est.a_e, "s_e": str(est.s_e)}
                 for est in seq
             ],
             "exact": str(exact.value) if exact else None,
@@ -150,14 +158,14 @@ def cmd_fsig(args) -> int:
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     elif args.format == "csv":
-        rows = [(est.ctx.e, est.ctx.q, est.a_e, est.s_e) for est in seq]
+        rows = [(est.e, est.q, est.a_e, est.s_e) for est in seq]
         if exact:
             rows.append(("exact", "", "", exact.value))
         sys.stdout.write(csv_text(["e", "q", "a_e", "s_e"], rows))
     else:
         print(f"ring: {spec.name}  p={args.p}")
         for est in seq:
-            line = f"  e={est.ctx.e}  q={est.ctx.q}  a_e={est.a_e}  s_e={est.s_e}"
+            line = f"  e={est.e}  q={est.q}  a_e={est.a_e}  s_e={est.s_e}"
             if exact:
                 dev = abs(est.s_e - exact.value)
                 line += f"  |s_e-s|={dev} (~{float(dev):.3g})"
@@ -177,9 +185,9 @@ def cmd_decompose(args) -> int:
     ctx = FrobeniusContext(args.p, args.e)
     dec = decompose(spec, divisor, ctx, cap=args.cap)
     # csv prints only the summands, so it never lists the cosets
-    rows = None
+    blocks = None
     if args.detail and args.format != "csv":
-        rows = coset_rows(spec, divisor, ctx, cap=args.cap)
+        blocks = coset_rows(spec, divisor, ctx, cap=args.cap)
     items = dec.summands.items()
     out = sys.stdout
     if args.format == "json":
@@ -199,7 +207,7 @@ def cmd_decompose(args) -> int:
                 for c, n in items
             ],
         }
-        if rows is not None:
+        if blocks is not None:
             # the rows are spliced into the dump of the rest of the document
             # in place of a placeholder; a key line cannot occur in a string
             doc["cosets"] = 0
@@ -209,7 +217,7 @@ def cmd_decompose(args) -> int:
             out.write(head + '\n  "cosets": [\n')
             w_row = ',\n      "w": ' + _json_list(spec.dim, '"%s"') + "\n    }"
             d_row = '    {\n      "divisor": ' + _json_list(spec.num_facets, "%s")
-            _write_rows(out, rows, ctx.q, spec.dim, w_row, d_row, ",\n", divisor_first=True)
+            _write_rows(out, blocks, ctx.q, spec.dim, w_row, d_row, ",\n", divisor_first=True)
             out.write("\n  ]" + tail + "\n")
         else:
             print(json.dumps(doc, indent=2, sort_keys=True))
@@ -221,10 +229,10 @@ def cmd_decompose(args) -> int:
         print(f"base divisor: {list(divisor.coeffs)}")
         for c, n in items:
             print(f"  class {_class_label(c)}: {n}")
-        if rows is not None:
+        if blocks is not None:
             w_row = "    w=(" + ", ".join(["%s"] * spec.dim) + ")"
             d_row = "  divisor=[" + ", ".join(["%s"] * spec.num_facets) + "]"
-            _write_rows(out, rows, ctx.q, spec.dim, w_row, d_row, "\n", divisor_first=False)
+            _write_rows(out, blocks, ctx.q, spec.dim, w_row, d_row, "\n", divisor_first=False)
             out.write("\n")
     return EXIT_OK
 
@@ -245,16 +253,16 @@ def _fraction_text(n: int, q: int) -> str:
 
 
 def _write_rows(
-    out, rows, q: int, dim: int, w_row: str, d_row: str, sep: str, divisor_first: bool
+    out, blocks, q: int, dim: int, w_row: str, d_row: str, sep: str, divisor_first: bool
 ) -> None:
-    """Write one line per coset of the ``coset_rows`` result ``rows``,
-    ``w_row % w`` and ``d_row % divisor`` in the given order, joined by
-    ``sep``, in windows of at most ``WINDOW`` rows, from its run blocks.
+    """Write one line per coset of the ``coset_rows`` blocks ``blocks``,
+    ``w_row % w`` and ``d_row % floors`` in the given order, joined by
+    ``sep``, in windows of at most ``WINDOW`` rows.
 
-    Per prefix row, the literal text of ``w_row`` around and between the
+    Per block, the literal text of ``w_row`` around and between the
     coordinates that move along t is one string each, with the texts of the
     coordinates that stay put folded in.  A run of n rows formats its
-    divisor once and is one join of n inner texts: the moving coordinate's
+    floors once and is one join of n inner texts: the moving coordinate's
     own when only one moves, else one join per row.  The coordinate texts
     come from ``numerator_memo``, which keeps them in d >= 2 while its memo
     holds them."""
@@ -263,7 +271,7 @@ def _write_rows(
     window = []
     room = WINDOW
     lead = ""
-    for numerators, runs in rows.runs:
+    for numerators, runs in blocks:
         parts = [pieces[0]]
         for (start, step), piece in zip(numerators, pieces[1:]):
             if step:
@@ -277,8 +285,8 @@ def _write_rows(
         else:
             middle[1::2] = map(itertools.repeat, middle[1::2])
             inner = map("".join, zip(*middle))
-        for n, divisor in runs:
-            d_text = d_row % divisor.coeffs
+        for n, floors in runs:
+            d_text = d_row % floors
             first, last = (d_text + head, tail) if divisor_first else (head, tail + d_text)
             between = last + sep + first
             while n:

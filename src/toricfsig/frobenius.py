@@ -25,12 +25,10 @@ residue mod q from a table of at most min(|g_i|, q - 1) keys, one per t in
   number of splits.  When the splits could number q, and in d = 1, it
   scans every row instead, adding each jump to a class code.
 - ``coset_rows`` lists.  It scans every row, last coordinate innermost,
-  moving a floor vector by the jumps, and yields each coset's
-  representative and summand divisor, a flattening of its run blocks: the
-  start and step of each representative numerator along the row and its
-  runs as (length, divisor).  It takes no classes, and it holds one row's
-  runs at a time, never q^d rows, and memos of at most ``memo_limit(q)``
-  entries.
+  moving a floor vector by the jumps, and yields one block per prefix row:
+  the start and step of each representative numerator along the row, and
+  its runs as (length, floors), floors a tuple of ints.  It takes no
+  classes and holds one row's runs at a time, never q^d rows.
 
 The box oracle counts the semigroup points of the bounding box of qP a line
 at a time, with no cosets and no classes, so it checks the free rank
@@ -44,7 +42,6 @@ import itertools
 import math
 import operator
 import warnings
-from fractions import Fraction
 
 from .caps import CAP_ENV_VAR, CapExceededError, check_cap, resolve_cap
 from .record import Record
@@ -148,54 +145,30 @@ def coset_rows(
     ctx: FrobeniusContext,
     *,
     cap: int | None = None,
-) -> CosetRows:
-    """The cosets of L in (1/q)L one at a time, as pairs (representative,
-    summand divisor) in lexicographic order of c in [0, q)^d: the
-    representative is c.B/q, B the lattice basis, a tuple of Fractions, and
-    the summand divisor has the coefficients floor((c.g_i + a_i) / q).  The
-    divisor length and the cap are checked at the call, before any row.
+):
+    """The cosets of L in (1/q)L, c in [0, q)^d in lexicographic order, one
+    block per prefix row c' of all coordinates but the last, t.  A block is
+    a pair (numerators, runs): per coordinate of the representative c.B/q,
+    B the lattice basis, the start and step of its numerator c.B along t;
+    and the runs of t in order as pairs (length, floors), floors the tuple
+    of summand divisor coefficients floor((c.g_i + a_i) / q).  The divisor
+    length and the cap are checked at the call, before any block.
 
-    The prefix rows c' run in lexicographic order and the last coordinate t
-    innermost.  Facet i takes the value base_i + g_i*t there, and its floor
-    over q moves at no more than min(|g_i|, q - 1) values of t, found from
-    base_i mod q.  The rows flatten ``CosetRows.runs``, which yields one
-    prefix row at a time as its runs, so a consumer that keeps no row holds
-    O(q) objects, not q^d.
+    Facet i takes the value base_i + g_i*t along a block, and its floor over
+    q moves at no more than min(|g_i|, q - 1) values of t, found from
+    base_i mod q.  A consumer that keeps no block holds O(q) objects, not
+    q^d.
     """
     q = _coset_space(spec, divisor, ctx, cap)
-    return CosetRows(_coset_runs(spec, divisor.coeffs, q), q, spec.dim)
-
-
-class CosetRows:
-    """The cosets of ``coset_rows``, read once in either of two ways.
-
-    Iterating yields the rows (representative, summand divisor).  ``runs``
-    yields the same cosets one prefix row c' at a time, as a pair
-    (numerators, runs): per coordinate of the representative, the start and
-    step of its numerator c.B along t, and the runs of t in order as pairs
-    (length, summand divisor).
-    """
-
-    def __init__(self, runs, q: int, dim: int):
-        self.runs = runs
-        fraction = numerator_memo(functools.partial(Fraction, denominator=q), q, dim)
-        self._rows = itertools.chain.from_iterable(
-            _block_rows(numerators, row_runs, q, fraction) for numerators, row_runs in runs
-        )
-
-    def __iter__(self):
-        return self._rows
-
-    def __next__(self):
-        return next(self._rows)
+    return _coset_runs(spec, divisor.coeffs, q)
 
 
 def memo_limit(q: int) -> int:
-    """Entries of each memo of the lister and the --detail writer at q: a
-    prefix row has up to q numerators per coordinate and q runs, and the
-    memo holds 16 such rows and never fewer than 4096 entries, O(q) at any
-    basis entry.  The (n + 1)q numerators of xy = z^n, which recur only
-    every n rows, fit for n < 16."""
+    """Entries of the --detail writer's numerator memo at q: a prefix row
+    has up to q numerators per coordinate, and the memo holds 16 such rows
+    and never fewer than 4096 entries, O(q) at any basis entry.  The
+    (n + 1)q numerators of xy = z^n, which recur only every n rows, fit for
+    n < 16."""
     return max(4096, 16 * q)
 
 
@@ -222,34 +195,15 @@ class _Memo(dict):
         return value
 
 
-def _block_rows(numerators, runs, q, fraction):
-    """The rows of one prefix row of ``CosetRows.runs``."""
-    columns = [
-        map(fraction, range(start, start + q * step, step))
-        if step
-        else itertools.repeat(fraction(start), q)
-        for start, step in numerators
-    ]
-    divisors = itertools.chain.from_iterable(
-        itertools.repeat(summand, n) for n, summand in runs
-    )
-    return zip(zip(*columns), divisors)
-
-
 def _coset_runs(spec: RingSpec, a, q: int):
-    """Per prefix row c' of ``coset_rows``, its numerators and its runs
-    (``CosetRows.runs``).
+    """The blocks of ``coset_rows``.
 
     One vector carries the facet values at t = 0 and the numerators' starts
-    from row to row.  The runs start at the keys of ``_row_scanner``, which
-    move a floor vector from one run to the next, and the runs with one
-    floor vector share one divisor while it stays in a memo of
-    ``memo_limit(q)`` entries: a facet's floors take at most sum_j |G_ij| + 1
-    values, so with pairings far above q the floor vectors can number q^d."""
+    from row to row, and the runs start at the keys of ``_row_scanner``,
+    which move a floor vector from one run to the next."""
     grows = spec.pairings
     m = len(grows)
     keys, shift, mask, steps = _row_scanner(q, [row[-1] for row in grows])
-    divisors = _Memo(WeilDivisor, memo_limit(q))
     *b_out, b_in = spec.lattice.basis.to_rows()
     moves = [[row[k] for row in grows] + b_out[k] for k in range(spec.dim - 1)]
     for row in _affine_rows([*a, *[0] * spec.dim], moves, q):
@@ -260,11 +214,11 @@ def _coset_runs(spec: RingSpec, a, q: int):
         for key in keys(row):
             t = key >> shift
             if t != before:
-                runs.append((t - before, divisors[tuple(floors)]))
+                runs.append((t - before, tuple(floors)))
                 before = t
             i, jump = steps[key & mask]
             floors[i] += jump
-        runs.append((q - before, divisors[tuple(floors)]))
+        runs.append((q - before, tuple(floors)))
         yield list(zip(row[m:], b_in)), runs
 
 

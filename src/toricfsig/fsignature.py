@@ -20,6 +20,7 @@ from .frobenius import (
     decompose,
     free_rank,
     multiplicity_of,
+    simultaneous_torsion_count,
 )
 from .record import Record
 from .rings import RingSpec
@@ -27,10 +28,16 @@ from .rings import RingSpec
 VOLUME_DIM_LIMIT = 4
 
 
-class FSignatureEstimate(Record):
-    ctx: FrobeniusContext
+class WitnessRow(Record):
+    """One level e of ``signature_sequence``: a_e, s_e = a_e / rank, the
+    count n_e of summands in torsion classes, and the rank q^d."""
+
+    e: int
+    q: int
     a_e: int
     s_e: Fraction
+    n_e: int
+    rank: int
 
 
 class ExactFSignature(Record):
@@ -44,8 +51,10 @@ def signature_sequence(
     e_max: int,
     divisor: WeilDivisor | None = None,
     cap: int | None = None,
-) -> list[FSignatureEstimate]:
-    """Terms s_e for e = 1..e_max.
+    q_max: int | None = None,
+) -> list[WitnessRow]:
+    """Terms s_e for e = 1..e_max, stopping before the first q above
+    ``q_max`` when given.
 
     With a divisor D, a_e counts the summands of F^e_* R lying in the class
     of D; these terms converge to the same limit as the default free-rank
@@ -53,14 +62,16 @@ def signature_sequence(
     """
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
-    cg = class_group(spec)
-    target = None if divisor is None else class_of(cg, divisor)
+    target = None if divisor is None else class_of(class_group(spec), divisor)
     out = []
     for e in range(1, e_max + 1):
         ctx = FrobeniusContext(p, e)
+        if q_max is not None and ctx.q > q_max:
+            break
         dec = decompose(spec, WeilDivisor((0,) * spec.num_facets), ctx, cap=cap)
         a_e = free_rank(dec) if target is None else multiplicity_of(dec, target)
-        out.append(FSignatureEstimate(ctx, a_e, Fraction(a_e, dec.rank)))
+        n_e = simultaneous_torsion_count(dec)
+        out.append(WitnessRow(e, ctx.q, a_e, Fraction(a_e, dec.rank), n_e, dec.rank))
     return out
 
 

@@ -79,12 +79,16 @@ class RingSpec(Record):
     def pairings(self) -> tuple[tuple, ...]:
         """The rows g_i of G, G[i][j] = facet_i(basis row j): ints, with a
         Fraction where a functional is not integer-valued on L, which only
-        an invalid spec has."""
+        an invalid spec has.  Each facet pairs in integers, its covector
+        scaled by the lcm of its denominators, and divides back."""
         basis = [self.lattice.basis.row(j) for j in range(self.dim)]
-        return tuple(
-            tuple(v.numerator if v.denominator == 1 else v for v in map(f.pairing, basis))
-            for f in self.facets
-        )
+        rows = []
+        for f in self.facets:
+            scale = math.lcm(*(x.denominator for x in f.covector))
+            ints = [x.numerator * (scale // x.denominator) for x in f.covector]
+            sums = [sum(x * y for x, y in zip(ints, b, strict=True)) for b in basis]
+            rows.append(tuple(Fraction(v, scale) if v % scale else v // scale for v in sums))
+        return tuple(rows)
 
     @cached_property
     def class_group(self):

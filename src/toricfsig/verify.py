@@ -14,30 +14,16 @@ treats it as a distinguished hard failure with a reproduction bundle.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 from fractions import Fraction
 
 from .caps import CapExceededError
 from .divisors import WeilDivisor, class_group
-from .frobenius import (
-    FrobeniusContext,
-    coset_rows,
-    decompose,
-    free_rank,
-    simultaneous_torsion_count,
-)
-from .fsignature import exact_signature_volume
+from .frobenius import FrobeniusContext, coset_rows
+from .fsignature import WitnessRow, exact_signature_volume, signature_sequence
 from .record import Record
 from .rings import RingSpec, parse_builtin, ring_to_dict
-
-
-class WitnessRow(Record):
-    e: int
-    q: int
-    a_e: int
-    s_e: Fraction
-    n_e: int
-    rank: int
 
 
 class TheoremVerdict(Record):
@@ -60,25 +46,14 @@ def verify_ring(
 ) -> TheoremVerdict:
     """Exact verdict for one ring at one characteristic.
 
-    Witness rows cover e = 1..e_max, skipping q above ``q_max`` when given;
-    enumeration-cap overruns propagate with the ring named.
+    The witness rows are those of ``signature_sequence`` for e = 1..e_max,
+    up to ``q_max`` when given; enumeration-cap overruns propagate with the
+    ring named.
     """
     torsion = class_group(spec).torsion_cardinality
     exact = exact_signature_volume(spec).value
-    witnesses = []
     try:
-        for e in range(1, e_max + 1):
-            ctx = FrobeniusContext(p, e)
-            if q_max is not None and ctx.q > q_max:
-                break
-            dec = decompose(
-                spec, WeilDivisor((0,) * spec.num_facets), ctx, cap=cap
-            )
-            a_e = free_rank(dec)
-            n_e = simultaneous_torsion_count(dec)
-            witnesses.append(
-                WitnessRow(e, ctx.q, a_e, Fraction(a_e, dec.rank), n_e, dec.rank)
-            )
+        witnesses = signature_sequence(spec, p, e_max, q_max=q_max, cap=cap)
     except CapExceededError as exc:
         raise CapExceededError(f"{spec.name} (p={p}): {exc}") from exc
     product = torsion * exact
@@ -208,20 +183,21 @@ def violation_bundle(verdict: TheoremVerdict, spec: RingSpec) -> dict:
         "p": verdict.p,
     }
     detail_rows = []
+    zero = WeilDivisor((0,) * spec.num_facets)
     for w in verdict.witnesses:
         if w.rank > 4096:
             continue
-        rows = coset_rows(
-            spec, WeilDivisor((0,) * spec.num_facets), FrobeniusContext(verdict.p, w.e)
-        )
-        detail_rows.append(
-            {
-                "e": w.e,
-                "cosets": [
-                    {"w": [str(x) for x in rep], "divisor": list(div.coeffs)}
-                    for rep, div in rows
-                ],
-            }
-        )
+        cosets = []
+        for numerators, runs in coset_rows(spec, zero, FrobeniusContext(verdict.p, w.e)):
+            reps = zip(*(
+                [str(Fraction(start + k * step, w.q)) for k in range(w.q)]
+                for start, step in numerators
+            ))
+            for n, floors in runs:
+                cosets += [
+                    {"w": list(rep), "divisor": list(floors)}
+                    for rep in itertools.islice(reps, n)
+                ]
+        detail_rows.append({"e": w.e, "cosets": cosets})
     bundle["coset_detail"] = detail_rows
     return bundle

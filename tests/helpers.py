@@ -101,6 +101,20 @@ def divisorial_points(spec: RingSpec, divisor: WeilDivisor, box) -> list[tuple[i
     return out
 
 
+def listed_cosets(blocks, q: int):
+    """The cosets of the ``coset_rows`` blocks ``blocks`` at q, one at a
+    time, as pairs (representative, summand divisor): c.B/q as a tuple of
+    Fractions, and the WeilDivisor of its floors."""
+    for numerators, runs in blocks:
+        columns = [
+            map(Fraction, range(start, start + q * step, step) if step
+                else itertools.repeat(start, q), itertools.repeat(q))
+            for start, step in numerators
+        ]
+        divisors = (WeilDivisor(floors) for n, floors in runs for _ in range(n))
+        yield from zip(zip(*columns), divisors)
+
+
 def cokernel_invariants(a: IntMat) -> tuple[int, list[int]]:
     """Structure of Z^rows modulo the column span of ``a``.
 

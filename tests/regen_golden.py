@@ -123,6 +123,11 @@ def commands() -> list[list[str]]:
         ["verify", "--corpus", "-p", "2", "-e", "8", "--q-max", "64", "--format", "json"],
         ["verify", "--builtin", "an:3", "-p", "2", "-e", "2", "--out", "report.txt"],
         ["fsig", "--builtin", "an:4", "-p", "5", "-e", "2", "--exact"],
+        # --exact with a divisor: a torsion class tends to s, and a class of
+        # infinite order exits 2
+        ["fsig", "--builtin", "an:3", "-p", "2", "-e", "6", "--exact", "--divisor", "1,0"],
+        ["fsig", "--builtin", "quadric", "-p", "2", "-e", "6", "--exact",
+         "--divisor", "1,0,0,0"],
         ["decompose", "--builtin", "quadric", "-p", "2", "-e", "1", "--detail"],
         ["decompose", "--builtin", "an:3", "-p", "7", "-e", "1", "--divisor", "1,0",
          "--detail", "--format", "json"],

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from helpers import cokernel_invariants, verify_per_class_convergence
+from helpers import cokernel_invariants, listed_cosets, verify_per_class_convergence
 
 from toricfsig.cli import main as cli_main
 from toricfsig.divisors import WeilDivisor, class_group
@@ -94,7 +94,7 @@ def test_criterion_04_sequence_envelope():
             spec = parse_builtin(f"an:{n}")
             for p, e_max in [(2, 8), (3, 5), (5, 3)]:
                 for est in signature_sequence(spec, p, e_max):
-                    q = est.ctx.q
+                    q = est.q
                     assert q <= 256
                     envelope = F(2 * q * n + n * n + 2 * q, q * q)
                     assert abs(est.s_e - F(1, n)) <= envelope, (n, p, q)
@@ -149,8 +149,9 @@ def test_criterion_07_twist_identity():
                 for e in (1, 2, 3):
                     ctx = FrobeniusContext(p, e)
                     for d1, d2 in pairs:
-                        base = coset_rows(spec, d1, ctx)
-                        twisted = list(coset_rows(spec, d1 + ctx.q * d2, ctx))
+                        base = listed_cosets(coset_rows(spec, d1, ctx), ctx.q)
+                        twisted = coset_rows(spec, d1 + ctx.q * d2, ctx)
+                        twisted = list(listed_cosets(twisted, ctx.q))
                         shifted = [(w, s + d2) for w, s in base]
                         assert shifted == twisted
                         assert sorted(

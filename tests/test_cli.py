@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import listed_cosets
 from test_frobenius import random_spec
 from toricfsig.cli import main
 from toricfsig.rings import ring_to_dict, validate
@@ -491,11 +492,11 @@ def test_detail_formats_each_numerator_once(monkeypatch):
     numerators = {Fraction(x) * 32 for row in cosets for x in row["w"]}
     assert len(cosets) == 32**3 and len(numerators) == 32
     assert len(formatted) == len(set(formatted)) <= len(numerators)
-    # the listing itself still yields Fractions and divisors
+    # the listing itself yields integer numerators and floors, no Fraction
     spec = parse_builtin("quadric")
-    w, d = next(coset_rows(spec, WeilDivisor((0,) * 4), FrobeniusContext(2, 5)))
-    assert w == (0, 0, 0) and all(type(x) is Fraction for x in w)
-    assert type(d) is WeilDivisor
+    numerators, runs = next(coset_rows(spec, WeilDivisor((0,) * 4), FrobeniusContext(2, 5)))
+    assert numerators == [(0, 0), (0, 0), (0, 1)]
+    assert runs == [(1, (0, 0, 0, 0)), (31, (0, 0, 0, -1))]
 
 
 def test_detail_formats_each_numerator_of_a_long_cycle_once(monkeypatch):
@@ -1078,7 +1079,7 @@ def _old_detail_rendering(argv):
               else (0,) * spec.num_facets)
     ctx = FrobeniusContext(args.p, args.e)
     dec = decompose(spec, WeilDivisor(coeffs), ctx)
-    rows = list(coset_rows(spec, WeilDivisor(coeffs), ctx))
+    rows = list(listed_cosets(coset_rows(spec, WeilDivisor(coeffs), ctx), ctx.q))
     items = sorted(dec.summands.items(), key=lambda kv: (kv[0].free, kv[0].torsion))
     if args.format == "json":
         doc = {
@@ -1199,3 +1200,31 @@ def test_detail_csv_builds_no_rows(monkeypatch):
     for fmt in ("json", "text"):
         assert _run_in_process(argv[:-1] + [fmt, "--detail"])[0] == 0
     assert calls == ["decompose"] * 2 + ["decompose", "coset_rows"] * 2
+
+
+def test_fsig_exact_refuses_a_divisor_of_infinite_order(monkeypatch):
+    # the s_e of a class of infinite order do not tend to s: --exact with
+    # such a --divisor is one stderr line and exit 2, before any count
+    from fractions import Fraction
+
+    import toricfsig.fsignature as fsignature
+
+    calls = []
+    real = fsignature.decompose
+    monkeypatch.setattr(fsignature, "decompose",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    base = ["fsig", "--builtin", "quadric", "-p", "2", "-e", "6", "--divisor", "1,0,0,0"]
+    assert _run_in_process(base + ["--exact"]) == (
+        2, "", "error: --exact needs a torsion --divisor; 1,0,0,0 has infinite order "
+               "in Cl = Z\n")
+    assert calls == []
+    code, out, _ = _run_in_process(base)
+    assert code == 0 and len(calls) == 6 and "|s_e-s|" not in out
+    # a torsion class keeps its terms, and they tend to s = 1/3
+    code, out, err = _run_in_process(["fsig", "--builtin", "an:3", "-p", "2", "-e", "6",
+                                      "--exact", "--divisor", "1,0", "--format", "json"])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["exact"] == "1/3"
+    gaps = [abs(Fraction(row["s_e"]) - Fraction(1, 3)) for row in doc["sequence"]]
+    assert gaps == sorted(gaps, reverse=True) and gaps[-1] < Fraction(1, 10**4)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from helpers import coefficients_of
+from helpers import coefficients_of, listed_cosets
 
 from toricfsig.divisors import (
     CapExceededError,
@@ -63,7 +63,7 @@ def test_quadric_cone_coset_count_hand_enumeration():
     # summand, the last two the nontrivial class
     spec = parse_builtin("an:2")
     dec = decompose(spec, zero_divisor(spec), FrobeniusContext(2, 1))
-    rows = list(coset_rows(spec, zero_divisor(spec), FrobeniusContext(2, 1)))
+    rows = list(listed_cosets(coset_rows(spec, zero_divisor(spec), FrobeniusContext(2, 1)), 2))
     reps = {w for w, _ in rows}
     assert reps == {
         (F(0), F(0)),
@@ -175,8 +175,8 @@ def test_twisted_decomposition_summand_identity():
                 d1 = WeilDivisor((rng.randint(-5, 5), rng.randint(-5, 5)))
                 d2 = WeilDivisor((rng.randint(-5, 5), rng.randint(-5, 5)))
                 ctx = FrobeniusContext(p, 2)
-                base = coset_rows(spec, d1, ctx)
-                twisted = coset_rows(spec, d1 + ctx.q * d2, ctx)
+                base = listed_cosets(coset_rows(spec, d1, ctx), ctx.q)
+                twisted = listed_cosets(coset_rows(spec, d1 + ctx.q * d2, ctx), ctx.q)
                 for (w1, s1), (w2, s2) in zip(base, twisted, strict=True):
                     assert w1 == w2
                     assert s1 + d2 == s2
@@ -201,7 +201,7 @@ def test_detail_classes_match_summand_counts():
         ctx = FrobeniusContext(2, 1)
         dec = decompose(spec, zero_divisor(spec), ctx)
         recount = {}
-        for _, summand in coset_rows(spec, zero_divisor(spec), ctx):
+        for _, summand in listed_cosets(coset_rows(spec, zero_divisor(spec), ctx), ctx.q):
             c = class_of(cg, summand)
             recount[c] = recount.get(c, 0) + 1
         assert recount == dec.summands
@@ -316,7 +316,7 @@ def test_coset_rows_in_dimension_1_keep_no_row():
     try:
         rows = coset_rows(spec, WeilDivisor((5,)), FrobeniusContext(2, 16))
         last = None
-        for last in rows:
+        for last in listed_cosets(rows, 2**16):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -332,7 +332,7 @@ def test_coset_representatives_are_canonical():
         spec = parse_builtin(token)
         ctx = FrobeniusContext(2, 1)
         seen = []
-        for w, _ in coset_rows(spec, zero_divisor(spec), ctx):
+        for w, _ in listed_cosets(coset_rows(spec, zero_divisor(spec), ctx), ctx.q):
             scaled = tuple(x * ctx.q for x in w)
             assert all(x.denominator == 1 for x in scaled)
             coeffs = coefficients_of(spec.lattice, tuple(int(x) for x in scaled))
@@ -353,7 +353,7 @@ def test_nonzero_divisor_count_matches_listing():
             ctx = FrobeniusContext(2, 2)
             fast = decompose(spec, d, ctx)
             slow = {}
-            for _, summand in coset_rows(spec, d, ctx):
+            for _, summand in listed_cosets(coset_rows(spec, d, ctx), ctx.q):
                 c = class_of(spec.class_group, summand)
                 slow[c] = slow.get(c, 0) + 1
             assert fast.summands == slow
@@ -527,7 +527,7 @@ def test_listing_keeps_its_cut_tables_bounded():
     rows = coset_rows(spec, zero_divisor(spec), FrobeniusContext(2, 9))
     tracemalloc.start()
     try:
-        runs = sum(len(block) for _, block in rows.runs)
+        runs = sum(len(block) for _, block in rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -537,9 +537,8 @@ def test_listing_keeps_its_cut_tables_bounded():
 
 def test_listing_with_pairings_far_above_q_keeps_its_memos_bounded():
     # facets (1, N) and (N, 1), N = 10^12 + 1: the q^2 cosets at q = 2^8 have
-    # q^2 distinct floor vectors, and the divisor memo keeps at most
-    # memo_limit(q) = 4096 of them, where one divisor per floor vector
-    # peaked at 19 MB
+    # q^2 distinct floor vectors, and the listing keeps none past its block,
+    # where one divisor per floor vector peaked at 19 MB
     import tracemalloc
 
     n = str(10**12 + 1)
@@ -548,7 +547,7 @@ def test_listing_with_pairings_far_above_q_keeps_its_memos_bounded():
     rows = coset_rows(spec, zero_divisor(spec), FrobeniusContext(2, 8))
     tracemalloc.start()
     try:
-        runs = sum(len(block) for _, block in rows.runs)
+        runs = sum(len(block) for _, block in rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -650,15 +649,16 @@ def _detail_divisors(spec, q, rng):
 
 def _detail_vs_reference(spec, divisor, ctx):
     dec = decompose(spec, divisor, ctx)
-    rows = tuple(coset_rows(spec, divisor, ctx))
+    blocks = list(coset_rows(spec, divisor, ctx))
     summands, detail = decompose_reference(spec, divisor, ctx.q)
     assert dec.summands == summands, (spec.name, divisor, ctx.q)
     assert list(dec.summands) == list(summands)
-    assert rows == detail, (spec.name, divisor, ctx.q)
-    for w, summand in rows:
-        assert type(w) is tuple and all(type(x) is F for x in w)
-        assert type(summand) is WeilDivisor
-        assert all(type(x) is int for x in summand.coeffs)
+    assert tuple(listed_cosets(blocks, ctx.q)) == detail, (spec.name, divisor, ctx.q)
+    for numerators, runs in blocks:
+        assert all(type(x) is int for pair in numerators for x in pair)
+        assert sum(n for n, _ in runs) == ctx.q
+        for _, floors in runs:
+            assert type(floors) is tuple and all(type(x) is int for x in floors)
 
 
 @pytest.mark.parametrize("token", DETAIL_RINGS)
@@ -703,7 +703,7 @@ def test_trivial_class_group_detail():
     cg = class_group(spec)
     ctx = FrobeniusContext(3, 1)
     dec = decompose(spec, WeilDivisor((4, -5)), ctx)
-    rows = list(coset_rows(spec, WeilDivisor((4, -5)), ctx))
+    rows = list(listed_cosets(coset_rows(spec, WeilDivisor((4, -5)), ctx), ctx.q))
     assert dec.summands == {cg.zero(): 9}
     assert len(rows) == 9
     assert rows[1] == ((F(0), F(1, 3)), WeilDivisor((1, -2)))

@@ -48,7 +48,7 @@ def test_singh_matches_quadric_volume():
 
 def test_sequences_an2():
     seq = signature_sequence(parse_builtin("an:2"), 2, 3)
-    assert [(est.ctx.q, est.s_e) for est in seq] == [
+    assert [(est.q, est.s_e) for est in seq] == [
         (2, F(1, 2)),
         (4, F(1, 2)),
         (8, F(1, 2)),
@@ -78,7 +78,7 @@ def test_sequence_with_divisor_counts_class_multiplicity():
     for p, e_max in [(2, 4), (3, 3)]:
         seq = signature_sequence(spec, p, e_max, divisor=d)
         for est in seq:
-            ctx = est.ctx
+            ctx = FrobeniusContext(p, est.e)
             twisted = decompose(spec, -ctx.q * d, ctx)
             zero_mult = twisted.summands.get(cg.zero(), 0)
             assert est.a_e == zero_mult

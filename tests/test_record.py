@@ -9,7 +9,7 @@ from helpers import ClassConvergenceRow, ClassConvergenceTable
 import toricfsig  # noqa: F401  (imports every record type)
 from toricfsig.divisors import ClassElement, ClassGroupData, WeilDivisor, class_group
 from toricfsig.frobenius import FrobeniusContext, FrobeniusDecomposition
-from toricfsig.fsignature import ExactFSignature, FSignatureEstimate
+from toricfsig.fsignature import ExactFSignature, WitnessRow
 from toricfsig.linalg import IntMat, SmithDecomposition
 from toricfsig.record import Record
 from toricfsig.rings import FacetFunctional, Lattice, RingSpec, parse_builtin
@@ -17,7 +17,6 @@ from toricfsig.verify import (
     CorpusError,
     CorpusReport,
     TheoremVerdict,
-    WitnessRow,
 )
 
 M = IntMat(2, 2, (1, 0, 0, 1))
@@ -46,7 +45,6 @@ FIELDS = {
     FrobeniusContext: {"p": 3, "e": 2},
     FrobeniusDecomposition: {"spec": SPEC, "ctx": CTX, "base_divisor": WeilDivisor((0, 0)),
                              "summands": {}},
-    FSignatureEstimate: {"ctx": CTX, "a_e": 3, "s_e": Fraction(3, 4)},
     ExactFSignature: {"value": Fraction(1, 3), "method": "singh_formula"},
     WitnessRow: {"e": 1, "q": 2, "a_e": 2, "s_e": Fraction(1, 2), "n_e": 4, "rank": 4},
     TheoremVerdict: {"ring": "r", "p": 2, "torsion_cardinality": 3,
@@ -64,7 +62,7 @@ TYPES = pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
 
 
 def test_every_record_type_is_listed():
-    assert len(FIELDS) == 19
+    assert len(FIELDS) == 18
     package = {c for c in Record.__subclasses__() if c.__module__.startswith("toricfsig.")}
     assert package == {c for c in FIELDS if c.__module__.startswith("toricfsig.")}
 

@@ -19,7 +19,7 @@ from test_frobenius import BOX_RING, KLEIN, MIXED, random_spec
 from test_geometry import affine_rank
 
 from toricfsig.caps import CapExceededError
-from toricfsig.geometry import matrix_rank
+from toricfsig.geometry import dot, matrix_rank
 from toricfsig.linalg import IntMat
 from toricfsig.rings import (
     FacetFunctional,
@@ -399,3 +399,29 @@ def test_validate_caps_the_cones_double_description():
     with pytest.raises(CapExceededError, match="needs 20 pair tests, over the cap of 10;"):
         validate(spec, cap=10)
     assert time.process_time() - start < 0.5
+
+
+def test_pairings_are_the_facet_pairings():
+    # ints where a functional is integer-valued on the basis row, a Fraction
+    # elsewhere, and equal to FacetFunctional.pairing and dot either way
+    rng = random.Random(28)
+    specs = [random_spec(rng, rng.randint(1, 4), kind) for kind in
+             ("plain", "redundant", "flat", "duplicate", "multiple") for _ in range(20)]
+    for _ in range(100):
+        d = rng.randint(1, 4)
+        basis = IntMat.from_rows([[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)])
+        facets = tuple(
+            FacetFunctional(tuple(F(rng.randint(-9, 9), rng.choice((1, 2, 3, 6, 7)))
+                                  for _ in range(d)))
+            for _ in range(rng.randint(0, 5))
+        )
+        specs.append(RingSpec("rational", Lattice(basis), facets))
+    fractions = 0
+    for spec in specs:
+        rows = spec.lattice.basis.to_rows()
+        for f, g in zip(spec.facets, spec.pairings, strict=True):
+            assert g == tuple(f.pairing(b) for b in rows) == tuple(dot(f.covector, b)
+                                                                   for b in rows)
+            assert all(type(v) is int if v.denominator == 1 else type(v) is F for v in g)
+            fractions += sum(type(v) is F for v in g)
+    assert fractions > 50

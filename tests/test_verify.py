@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ import pytest
 from helpers import verify_per_class_convergence
 
 from toricfsig.divisors import CapExceededError
+from toricfsig.fsignature import signature_sequence
 from toricfsig.rings import parse_builtin, ring_from_dict, validate
 from toricfsig.verify import (
     default_corpus,
@@ -57,6 +59,17 @@ def test_witness_rows():
 def test_witnesses_respect_q_max():
     v = verify_ring(parse_builtin("an:2"), 3, 10, q_max=30)
     assert [w.q for w in v.witnesses] == [3, 9, 27]
+
+
+def test_witnesses_are_the_signature_sequence():
+    # verify_ring takes its rows from signature_sequence, q_max included
+    for token, p, e_max, q_max in [("quadric", 2, 3, None), ("an:2", 3, 10, 30),
+                                   ("veronese:3", 5, 2, 4)]:
+        spec = parse_builtin(token)
+        rows = signature_sequence(spec, p, e_max, q_max=q_max)
+        assert verify_ring(spec, p, e_max, q_max=q_max).witnesses == tuple(rows)
+        assert all(w.q <= (q_max or w.q) for w in rows)
+    assert signature_sequence(parse_builtin("an:2"), 5, 3, q_max=4) == []
 
 
 def test_cap_error_carries_ring_context():
@@ -181,3 +194,21 @@ def test_violation_bundle_shape():
     assert {d["e"] for d in bundle["coset_detail"]} == {1, 2}
     for block in bundle["coset_detail"]:
         assert all(set(c) == {"w", "divisor"} for c in block["cosets"])
+
+
+@pytest.mark.parametrize("token, p, e_max", [("an:2", 2, 2), ("an:2", 3, 1), ("quadric", 2, 2),
+                                             ("quadric", 3, 1)])
+def test_violation_bundle_lists_every_coset(token, p, e_max):
+    # at q <= 4, every c in [0, q)^d in lexicographic order, u = c.B: the
+    # representative w = u/q and the divisor facet_i(u) // q, which is
+    # (c.g_i + 0) // q
+    spec = parse_builtin(token)
+    basis_t = spec.lattice.basis.transpose()
+    bundle = violation_bundle(verify_ring(spec, p, e_max), spec)
+    assert [d["e"] for d in bundle["coset_detail"]] == list(range(1, e_max + 1))
+    for detail in bundle["coset_detail"]:
+        q = p ** detail["e"]
+        points = map(basis_t.mul_vector, itertools.product(range(q), repeat=spec.dim))
+        expected = [{"w": [str(F(x, q)) for x in u],
+                     "divisor": [f.pairing(u) // q for f in spec.facets]} for u in points]
+        assert detail["cosets"] == expected
