@@ -4,14 +4,16 @@ Divisors are integer vectors indexed by the cone facets (the torus-invariant
 height-one primes).  The class group is the cokernel of the principal-divisor
 map, computed once per ring through a Smith normal form whose unimodular
 certificate doubles as the projection onto normal-form coordinates.  Classes
-are always kept in normal form so that equality of classes is equality of
-tuples; the Frobenius machinery counts summands by exactly this comparison.
+are always kept in normal form, and ``ClassGroupData.reduce`` is the one
+place that makes it, so that equality of classes is equality of tuples; the
+Frobenius machinery counts summands by exactly this comparison.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .caps import ENUMERATION_CAP, CapExceededError
 from .linalg import IntMat, smith_normal_form
@@ -22,9 +24,8 @@ from .rings import RingSpec
 class WeilDivisor(Record):
     coeffs: tuple[int, ...]
 
-    def __init__(self, coeffs):
-        # made by the thousand: skips Record's generic argument binding
-        object.__setattr__(self, "coeffs", tuple(map(int, coeffs)))
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
 
     def __len__(self):
         return len(self.coeffs)
@@ -81,17 +82,19 @@ class ClassGroupData(Record):
             (0,) * self.free_rank, (0,) * len(self.invariant_factors)
         )
 
-    def reduce(self, free, torsion) -> ClassElement:
+    def reduce(self, coords) -> ClassElement:
+        """The class of one vector of projected coordinates, free rows
+        first: the free coordinates as they are and the torsion ones
+        reduced into [0, d_i)."""
+        coords = tuple(coords)
+        nfree = self.free_rank
         return ClassElement(
-            tuple(free),
-            tuple(t % d for t, d in zip(torsion, self.invariant_factors)),
+            coords[:nfree],
+            tuple(t % d for t, d in zip(coords[nfree:], self.invariant_factors)),
         )
 
     def add(self, a: ClassElement, b: ClassElement) -> ClassElement:
-        return self.reduce(
-            (x + y for x, y in zip(a.free, b.free)),
-            (x + y for x, y in zip(a.torsion, b.torsion)),
-        )
+        return self.reduce(map(operator.add, a.free + a.torsion, b.free + b.torsion))
 
 
 def class_group(spec: RingSpec) -> ClassGroupData:
@@ -126,8 +129,7 @@ def class_group_of(g: IntMat) -> ClassGroupData:
 
 def class_of(cg: ClassGroupData, divisor: WeilDivisor) -> ClassElement:
     """Normal-form class of a divisor; a group homomorphism in the divisor."""
-    coords = cg.projection.mul_vector(divisor.coeffs)
-    return cg.reduce(coords[: cg.free_rank], coords[cg.free_rank :])
+    return cg.reduce(cg.projection.mul_vector(divisor.coeffs))
 
 
 def torsion_elements(cg: ClassGroupData, cap: int = ENUMERATION_CAP) -> list[ClassElement]:

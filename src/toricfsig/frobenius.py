@@ -16,8 +16,8 @@ residue mod q from a table of at most min(|g_i|, q - 1) keys, one per t in
 (0, q) where the floor moves.  One function does each job, in Python ints:
 
 - ``decompose`` counts.  It reduces the base divisor to 0 <= r < q first
-  (a = q*k + r shifts every summand by k, hence every class by the class
-  of k), and ``_plane_runs`` turns the floors into class counts.  It fixes
+  (a = q*k + r adds the projected coordinates of k to every summand's),
+  and ``_plane_runs`` turns the floors into class counts.  It fixes
   all coordinates but t and a second one, s, and splits the s-axis where
   the order of the floor steps along t changes.  Inside one s-interval the
   total length of a run is a difference of two floor sums of O(log) steps
@@ -121,21 +121,10 @@ def decompose(
         return FrobeniusDecomposition(spec, ctx, divisor, {cg.zero(): q**spec.dim})
     # a = q*k + r with 0 <= r < q: floor((x + q*k)/q) = k + floor(x/q),
     # so every summand of a is the summand of r plus k
-    k = tuple(a // q for a in divisor.coeffs)
+    twist = cg.projection.mul_vector([a // q for a in divisor.coeffs])
     r = tuple(a % q for a in divisor.coeffs)
-    counts = _plane_runs(r, q, cg, spec.pairings)
-    nfree = cg.free_rank
-    shift = class_of(cg, WeilDivisor(k))
-    if not shift.is_zero:
-        # a translation of the group: the keys stay distinct
-        s = shift.free + shift.torsion
-        mods = (None,) * nfree + cg.invariant_factors
-        counts = {
-            tuple(x + y if m is None else (x + y) % m for x, y, m in zip(key, s, mods)): n
-            for key, n in counts.items()
-        }
-    # the keys are free + torsion, so their order is that of (free, torsion)
-    summands = {ClassElement(key[:nfree], key[nfree:]): n for key, n in sorted(counts.items())}
+    counts = _plane_runs(r, q, cg, spec.pairings, twist)
+    summands = {c: counts[c] for c in sorted(counts, key=lambda c: (c.free, c.torsion))}
     return FrobeniusDecomposition(spec, ctx, divisor, summands)
 
 
@@ -344,9 +333,10 @@ def _plane_splits(b, q, g, h, pairs) -> list:
     return sorted(starts)
 
 
-def _plane_runs(r, q, cg, grows) -> dict:
-    """Class coordinates of the cosets c in [0, q)^d, counted with
-    multiplicity, for a base divisor r with 0 <= r_i < q.
+def _plane_runs(r, q, cg, grows, twist) -> dict:
+    """Classes of the cosets c in [0, q)^d, counted with multiplicity, for a
+    base divisor r with 0 <= r_i < q, each moved by the projected
+    coordinates ``twist`` of a divisor.
 
     The column g of G with the least absolute sum is t.  Along a row in t,
     facet i takes the value b_i + g_i*t, and ``_row_scanner`` gives the t
@@ -372,7 +362,7 @@ def _plane_runs(r, q, cg, grows) -> dict:
     While counting, a class is one integer code, sum_j coordinate_j * R^j
     with each coordinate in (-R/2, R/2) and torsion coordinates not yet
     reduced, so that a jump is one addition; ``_decode`` turns the codes
-    into coordinates.
+    into classes.
     """
     t_col, *rest = sorted(range(len(grows[0])), key=lambda j: sum(abs(row[j]) for row in grows))
     g = [row[t_col] for row in grows]
@@ -395,7 +385,7 @@ def _plane_runs(r, q, cg, grows) -> dict:
                     before = t
                 code += jumps[key & mask]
             counts[code] = counts.get(code, 0) + q - before
-        return _decode(counts, cg, radix)
+        return _decode(counts, cg, radix, twist)
     h = moves[0]
     lcm = math.lcm(*(x for x in g if x))
     span = q - 1
@@ -429,7 +419,7 @@ def _plane_runs(r, q, cg, grows) -> dict:
                     before = total
                 code += col
             counts[code] = counts.get(code, 0) + q * n - before
-    return _decode(counts, cg, radix)
+    return _decode(counts, cg, radix, twist)
 
 
 def _column_codes(cg, grows):
@@ -449,24 +439,20 @@ def _column_codes(cg, grows):
     return cols, 1 << shift
 
 
-def _decode(counts, cg, radix) -> dict:
-    """The class keys (free coordinates, torsion coordinates reduced) of
-    code -> multiplicity ``counts``, merged."""
-    mods = cg.invariant_factors
-    nfree = cg.free_rank
-    ncoords = cg.projection.rows
+def _decode(counts, cg, radix, twist) -> dict:
+    """The classes of code -> multiplicity ``counts``, merged: the digits of
+    each code plus ``twist``, put in normal form by ``cg.reduce``."""
     half = radix // 2
-    offset = sum(half * radix**k for k in range(ncoords))
-    out: dict[tuple, int] = {}
+    offset = sum(half * radix**k for k in range(len(twist)))
+    out: dict[ClassElement, int] = {}
     for code, n in counts.items():
         rest = code + offset
-        key = []
-        for k in range(ncoords):
+        coords = []
+        for x in twist:
             rest, digit = divmod(rest, radix)
-            key.append(digit - half)
-        key[nfree:] = [x % mod for x, mod in zip(key[nfree:], mods)]
-        key = tuple(key)
-        out[key] = out.get(key, 0) + n
+            coords.append(digit - half + x)
+        c = cg.reduce(coords)
+        out[c] = out.get(c, 0) + n
     return out
 
 

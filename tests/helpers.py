@@ -1,5 +1,8 @@
-"""Library code that only the tests use: reference computations and the
-one-off constructions of a few tests, kept out of the package."""
+"""Library code that only the tests use: reference computations, the
+one-off constructions of a few tests, and the ring documents that several
+test modules and the golden commands share, kept out of the package.  It
+imports nothing but the standard library and toricfsig, so that
+``regen_golden.py`` runs without pytest."""
 
 from __future__ import annotations
 
@@ -21,6 +24,53 @@ from toricfsig.geometry import solve_square
 from toricfsig.linalg import IntMat, smith_normal_form
 from toricfsig.record import Record
 from toricfsig.rings import Lattice, RingSpec, ring_to_dict
+
+
+# k[x,y,z] invariants of the (Z/2)^2 generated by diag(-1,-1,1) and
+# diag(1,-1,-1): exponents with a = b = c mod 2, torsion (Z/2)^2, all
+# pairings nonnegative
+KLEIN = {
+    "name": "klein",
+    "dim": 3,
+    "lattice_basis": [[1, 1, 1], [2, 0, 0], [0, 2, 0]],
+    "facets": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+}
+
+# free rank 2 and torsion (Z/2)^2; the innermost column of G,
+# (-3, 1, -3, 1, -1), has absolute sum 9 and mixed signs
+MIXED = {
+    "name": "mixed",
+    "dim": 3,
+    "lattice_basis": [[2, 0, 2], [0, 1, 1], [0, 0, 3]],
+    "facets": [
+        ["5/2", "5", "-1"],
+        ["1/6", "-1/3", "1/3"],
+        ["9/2", "5", "-1"],
+        ["7/6", "-1/3", "1/3"],
+        ["5/6", "7/3", "-1/3"],
+    ],
+}
+
+# the second ring of the rings benchmark at seed 197: at q = 9 the bounding
+# box of qP holds about 65 million points, past the default cap, in fewer
+# lines than the cap
+BOX_RING = {
+    "name": "rand1:d4m6",
+    "dim": 4,
+    "lattice_basis": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]],
+    "facets": [["-1", "6", "-1", "6"], ["-2", "0", "1", "1"], ["3", "10", "0", "4"],
+               ["-1", "0", "2", "-1"], ["2", "4", "2", "-1"], ["5", "14", "6", "-1"]],
+}
+
+# a ring whose least column of G sums to 9 in d = 4: up to q = 121 the
+# plane's split bound reaches q, so it takes every s as an interval of its own
+DENSE = {
+    "name": "dense",
+    "dim": 4,
+    "lattice_basis": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    "facets": [["-3", "1", "1", "0"], ["2", "1", "-1", "3"], ["-1", "2", "1", "-3"],
+               ["-2", "3", "-3", "2"], ["-2", "2", "2", "-1"]],
+}
 
 
 def covolume(lattice: Lattice) -> int:

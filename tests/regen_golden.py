@@ -28,8 +28,7 @@ import tempfile
 import traceback
 from pathlib import Path
 
-from test_cli import DENSE
-from test_frobenius import BOX_RING, KLEIN, MIXED
+from helpers import BOX_RING, DENSE, KLEIN, MIXED
 from toricfsig.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
@@ -248,13 +247,19 @@ def run(argv: list[str]) -> dict:
 def run_all(argvs: list[list[str]]) -> list[dict]:
     """Run every command in a scratch directory holding RING_FILES."""
     saved = {k: os.environ.get(k) for k in ("TORICFSIG_CAP", "COLUMNS")}
+    cwd = os.getcwd()
     os.environ.pop("TORICFSIG_CAP", None)
     os.environ["COLUMNS"] = "80"
     try:
-        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-            for name, text in RING_FILES.items():
-                Path(name).write_text(text, encoding="utf-8")
-            return [run(argv) for argv in argvs]
+        with tempfile.TemporaryDirectory() as tmp:
+            # back to cwd before the directory is removed
+            os.chdir(tmp)
+            try:
+                for name, text in RING_FILES.items():
+                    Path(name).write_text(text, encoding="utf-8")
+                return [run(argv) for argv in argvs]
+            finally:
+                os.chdir(cwd)
     finally:
         for k, v in saved.items():
             if v is None:

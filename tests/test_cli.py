@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import listed_cosets
+from helpers import DENSE, KLEIN, MIXED, listed_cosets
 from test_frobenius import random_spec
 from toricfsig.cli import main
 from toricfsig.rings import ring_to_dict, validate
@@ -801,16 +801,6 @@ def _main_loads(argv):
 RING_FILE = "<random ring file>"
 DENSE_FILE = "<dense ring file>"
 
-# a ring whose least column of G sums to 9 in d = 4: up to q = 121 the
-# plane's split bound reaches q, so it takes every s as an interval of its own
-DENSE = {
-    "name": "dense",
-    "dim": 4,
-    "lattice_basis": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-    "facets": [["-3", "1", "1", "0"], ["2", "1", "-1", "3"], ["-1", "2", "1", "-3"],
-               ["-2", "3", "-3", "2"], ["-2", "2", "2", "-1"]],
-}
-
 
 def _ring_files(argv, tmp_path):
     """argv with the ring-file placeholders replaced by written files."""
@@ -1100,8 +1090,6 @@ def _old_detail_rendering(argv):
 
 
 def test_detail_output_matches_whole_document_rendering(tmp_path):
-    from test_frobenius import KLEIN, MIXED
-
     rings = [("--builtin", t, m) for t, m in
              [("poly:2", 2), ("quadric", 4), ("an:3", 2), ("veronese:5", 2),
               (f"an:{2**62}", 2)]]

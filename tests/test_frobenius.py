@@ -4,11 +4,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from helpers import coefficients_of, listed_cosets
+from helpers import BOX_RING, KLEIN, MIXED, coefficients_of, listed_cosets
 
 from toricfsig.divisors import (
     CapExceededError,
-    ClassElement,
     WeilDivisor,
     class_group,
     class_of,
@@ -182,16 +181,40 @@ def test_twisted_decomposition_summand_identity():
                     assert s1 + d2 == s2
 
 
+# (ring, p, e, k, r): the divisor q*k + r, with entries past 2^63; each k
+# but the quadric's has a nonzero torsion class, whose shift wraps a
+# torsion coordinate and so reorders the classes, and Cl(quadric) = Z has
+# only a free one
+TWISTS = [
+    ("an:3", 3, 2, (0, -1), (2, 8)),
+    ("an:3", 3, 2, (2**63 - 1, 3), (6, 2)),
+    (MIXED, 2, 2, (3, -2, 1 - 2**64, 2**63 - 2, -3), (0, 1, 1, 1, 1)),
+    (MIXED, 2, 2, (-(2**64) - 1, -(2**64) - 1, 3 - 2**64, 2 - 2**64, -3 - 2**64),
+     (3, 1, 0, 1, 0)),
+    (KLEIN, 2, 2, (-(2**64) - 3, -3, 2**63), (1, 3, 0)),
+    (KLEIN, 2, 2, (3, -2, 1 - 2**64), (3, 1, 1)),
+    ("quadric", 3, 1, (2**63 + 1, 0, -2, 5), (1, 2, 0, 1)),
+]
+
+
 def test_partition_independence():
-    spec = parse_builtin("an:3")
-    d = WeilDivisor((2, -1))
-    ctx = FrobeniusContext(3, 2)
-    reference, _ = decompose_reference(spec, d, ctx.q)
-    dec = decompose(spec, d, ctx)
-    assert dec.summands == reference
-    assert list(dec.summands) == sorted(
-        dec.summands, key=lambda c: (c.free, c.torsion)
-    )
+    # the twisted summands against the reference in (free, torsion) order,
+    # and against the classes of r moved by the class of k
+    for ring, p, e, k, r in TWISTS:
+        spec = parse_builtin(ring) if isinstance(ring, str) else ring_from_dict(ring)
+        cg = class_group(spec)
+        ctx = FrobeniusContext(p, e)
+        d = WeilDivisor(tuple(ctx.q * a + b for a, b in zip(k, r)))
+        reference, _ = decompose_reference(spec, d, ctx.q)
+        dec = decompose(spec, d, ctx)
+        assert dec.summands == reference, (spec.name, k, r)
+        assert list(dec.summands) == list(reference)
+        assert list(dec.summands) == sorted(dec.summands, key=lambda c: (c.free, c.torsion))
+        shift = class_of(cg, WeilDivisor(k))
+        base = decompose(spec, WeilDivisor(r), ctx).summands
+        moved = [cg.add(c, shift) for c in base]
+        assert dec.summands == dict(zip(moved, base.values()))
+        assert (moved != list(dec.summands)) == any(shift.torsion), (spec.name, k, r)
 
 
 def test_detail_classes_match_summand_counts():
@@ -357,32 +380,6 @@ def test_nonzero_divisor_count_matches_listing():
                 c = class_of(spec.class_group, summand)
                 slow[c] = slow.get(c, 0) + 1
             assert fast.summands == slow
-
-
-# k[x,y,z] invariants of the (Z/2)^2 generated by diag(-1,-1,1) and
-# diag(1,-1,-1): exponents with a = b = c mod 2, torsion (Z/2)^2, all
-# pairings nonnegative
-KLEIN = {
-    "name": "klein",
-    "dim": 3,
-    "lattice_basis": [[1, 1, 1], [2, 0, 0], [0, 2, 0]],
-    "facets": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
-}
-
-# free rank 2 and torsion (Z/2)^2; the innermost column of G,
-# (-3, 1, -3, 1, -1), has absolute sum 9 and mixed signs
-MIXED = {
-    "name": "mixed",
-    "dim": 3,
-    "lattice_basis": [[2, 0, 2], [0, 1, 1], [0, 0, 3]],
-    "facets": [
-        ["5/2", "5", "-1"],
-        ["1/6", "-1/3", "1/3"],
-        ["9/2", "5", "-1"],
-        ["7/6", "-1/3", "1/3"],
-        ["5/6", "7/3", "-1/3"],
-    ],
-}
 
 
 def _innermost_sum(spec):
@@ -847,18 +844,6 @@ def test_box_count_on_random_rings():
         done += 1
 
 
-# the second ring of the rings benchmark at seed 197: at q = 9 the bounding
-# box of qP holds about 65 million points, past the default cap, in fewer
-# lines than the cap
-BOX_RING = {
-    "name": "rand1:d4m6",
-    "dim": 4,
-    "lattice_basis": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]],
-    "facets": [["-1", "6", "-1", "6"], ["-2", "0", "1", "1"], ["3", "10", "0", "4"],
-               ["-1", "0", "2", "-1"], ["2", "4", "2", "-1"], ["5", "14", "6", "-1"]],
-}
-
-
 def test_box_count_cap_bounds_lines():
     spec = ring_from_dict(BOX_RING)
     assert validate(spec) == []
@@ -909,17 +894,15 @@ def test_listing_matches_reference_on_random_rings():
 
 
 def _plane_summands(spec, divisor, q):
-    """The summands of D = q*k + r from the plane on r, shifted by the
-    class of k."""
+    """The summands of D = q*k + r from the plane on r with no twist, each
+    class then moved by the class of k: reduced first, then added, not the
+    coordinates that ``decompose`` adds before its one reduction."""
     cg = class_group(spec)
     g = pairing_matrix(spec)
     shift = class_of(cg, WeilDivisor(tuple(a // q for a in divisor.coeffs)))
     r = tuple(a % q for a in divisor.coeffs)
-    nfree = cg.free_rank
-    counts = frobenius._plane_runs(r, q, cg, g.to_rows())
-    return {
-        cg.add(ClassElement(key[:nfree], key[nfree:]), shift): n for key, n in counts.items()
-    }
+    counts = frobenius._plane_runs(r, q, cg, g.to_rows(), (0,) * cg.projection.rows)
+    return {cg.add(c, shift): n for c, n in counts.items()}
 
 
 def test_count_matches_reference_on_random_rings():

@@ -4,8 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from helpers import unit_region_halfspaces
-from test_frobenius import KLEIN, MIXED
+from helpers import KLEIN, MIXED, unit_region_halfspaces
 
 from toricfsig.fsignature import exact_signature_volume
 from toricfsig.geometry import (

@@ -7,6 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (
+    BOX_RING,
+    DENSE,
+    KLEIN,
+    MIXED,
     coefficients_of,
     contains,
     covolume,
@@ -14,8 +18,7 @@ from helpers import (
     point_from_coefficients,
 )
 from regen_golden import RING_FILES
-from test_cli import DENSE
-from test_frobenius import BOX_RING, KLEIN, MIXED, random_spec
+from test_frobenius import random_spec
 from test_geometry import affine_rank
 
 from toricfsig.caps import CapExceededError
