@@ -22,11 +22,9 @@ from .frobenius import (
     simultaneous_torsion_count,
 )
 from .fsignature import (
-    ExactFSignature,
     WitnessRow,
     exact_signature_volume,
     signature_sequence,
-    singh_determinantal_signature,
 )
 from .linalg import (
     IntMat,
@@ -57,7 +55,6 @@ __all__ = [
     "CapExceededError",
     "ClassElement",
     "ClassGroupData",
-    "ExactFSignature",
     "FacetFunctional",
     "FrobeniusContext",
     "FrobeniusDecomposition",
@@ -85,7 +82,6 @@ __all__ = [
     "run_corpus",
     "signature_sequence",
     "simultaneous_torsion_count",
-    "singh_determinantal_signature",
     "smith_normal_form",
     "torsion_elements",
     "validate",

@@ -29,7 +29,7 @@ import sys
 
 from .caps import CapExceededError, resolve_cap
 from .divisors import WeilDivisor, class_group, class_of
-from .frobenius import FrobeniusContext, coset_rows, decompose, numerator_memo
+from .frobenius import FrobeniusContext, _Memo, coset_rows, decompose
 from .fsignature import exact_signature_volume, signature_sequence
 from .rings import (
     RingFormatError,
@@ -143,7 +143,7 @@ def cmd_fsig(args) -> int:
                 f"order in Cl = {_group_label(cg)}"
             )
     seq = signature_sequence(spec, args.p, args.e_max, divisor=divisor, cap=args.cap)
-    exact = exact_signature_volume(spec) if args.exact else None
+    exact = exact_signature_volume(spec, args.cap) if args.exact else None
     if args.format == "json":
         doc = {
             "ring": spec.name,
@@ -153,25 +153,25 @@ def cmd_fsig(args) -> int:
                 {"e": est.e, "q": est.q, "a_e": est.a_e, "s_e": str(est.s_e)}
                 for est in seq
             ],
-            "exact": str(exact.value) if exact else None,
-            "method": exact.method if exact else None,
+            "exact": None if exact is None else str(exact),
+            "method": None if exact is None else "polytope_volume",
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     elif args.format == "csv":
         rows = [(est.e, est.q, est.a_e, est.s_e) for est in seq]
-        if exact:
-            rows.append(("exact", "", "", exact.value))
+        if exact is not None:
+            rows.append(("exact", "", "", exact))
         sys.stdout.write(csv_text(["e", "q", "a_e", "s_e"], rows))
     else:
         print(f"ring: {spec.name}  p={args.p}")
         for est in seq:
             line = f"  e={est.e}  q={est.q}  a_e={est.a_e}  s_e={est.s_e}"
-            if exact:
-                dev = abs(est.s_e - exact.value)
+            if exact is not None:
+                dev = abs(est.s_e - exact)
                 line += f"  |s_e-s|={dev} (~{float(dev):.3g})"
             print(line)
-        if exact:
-            print(f"exact F-signature: {exact.value} ({exact.method})")
+        if exact is not None:
+            print(f"exact F-signature: {exact} (polytope_volume)")
     return EXIT_OK
 
 
@@ -250,6 +250,23 @@ def _fraction_text(n: int, q: int) -> str:
     numerator n, from gcd(n, q) and no Fraction."""
     g = math.gcd(n, q)
     return str(n // q) if g == q else f"{n // g}/{q // g}"
+
+
+def memo_limit(q: int) -> int:
+    """Entries of the --detail writer's numerator memo at q: a prefix row
+    has up to q numerators per coordinate, and the memo holds 16 such rows
+    and never fewer than 4096 entries, O(q) at any basis entry.  The
+    (n + 1)q numerators of xy = z^n, which recur only every n rows, fit for
+    n < 16."""
+    return max(4096, 16 * q)
+
+
+def numerator_memo(make, q: int, dim: int):
+    """n -> make(n) for the numerators of a listing at q in dimension dim.
+    In d >= 2 numerators repeat across prefix rows, and each is made once
+    while a ``_Memo`` of ``memo_limit(q)`` entries holds it; in d = 1 the one
+    prefix row has q distinct numerators, and none is kept."""
+    return _Memo(make, memo_limit(q)).__getitem__ if dim > 1 else make
 
 
 def _write_rows(

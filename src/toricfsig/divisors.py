@@ -15,7 +15,7 @@ import itertools
 import math
 import operator
 
-from .caps import ENUMERATION_CAP, CapExceededError
+from .caps import check_cap, resolve_cap
 from .linalg import IntMat, smith_normal_form
 from .record import Record
 from .rings import RingSpec
@@ -132,13 +132,10 @@ def class_of(cg: ClassGroupData, divisor: WeilDivisor) -> ClassElement:
     return cg.reduce(cg.projection.mul_vector(divisor.coeffs))
 
 
-def torsion_elements(cg: ClassGroupData, cap: int = ENUMERATION_CAP) -> list[ClassElement]:
-    """All torsion classes, ordered lexicographically by residue tuple."""
-    if cg.torsion_cardinality > cap:
-        raise CapExceededError(
-            f"torsion subgroup has {cg.torsion_cardinality} elements, "
-            f"over the cap of {cap}"
-        )
+def torsion_elements(cg: ClassGroupData, cap: int | None = None) -> list[ClassElement]:
+    """All torsion classes, ordered lexicographically by residue tuple; their
+    number is checked against the resolved cap."""
+    check_cap(cg.torsion_cardinality, resolve_cap(cap), "torsion enumeration", "classes")
     zero_free = (0,) * cg.free_rank
     return [
         ClassElement(zero_free, residues)

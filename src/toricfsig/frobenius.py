@@ -152,23 +152,6 @@ def coset_rows(
     return _coset_runs(spec, divisor.coeffs, q)
 
 
-def memo_limit(q: int) -> int:
-    """Entries of the --detail writer's numerator memo at q: a prefix row
-    has up to q numerators per coordinate, and the memo holds 16 such rows
-    and never fewer than 4096 entries, O(q) at any basis entry.  The
-    (n + 1)q numerators of xy = z^n, which recur only every n rows, fit for
-    n < 16."""
-    return max(4096, 16 * q)
-
-
-def numerator_memo(make, q: int, dim: int):
-    """n -> make(n) for the numerators of a listing at q in dimension dim.
-    In d >= 2 numerators repeat across prefix rows, and each is made once
-    while a ``_Memo`` of ``memo_limit(q)`` entries holds it; in d = 1 the one
-    prefix row has q distinct numerators, and none is kept."""
-    return _Memo(make, memo_limit(q)).__getitem__ if dim > 1 else make
-
-
 class _Memo(dict):
     """key -> make(key), made once per key, emptied on reaching ``limit``."""
 
@@ -490,13 +473,15 @@ def box_count_oracle(
     and it independently reproduces the free rank of the coset decomposition.
     In lattice coordinates the points are the c in Z^d with 0 <= Gc < q, so
     the oracle covers the bounding box of qP, P = {c : 0 <= Gc <= 1} with
-    the vertex rays of ``spec.unit_region``, one line along its widest
+    the vertex rays of ``spec.unit_region()``, one line along its widest
     coordinate t at a time: with the other coordinates fixed, each facet
     b_i + g_i*t in [0, q) cuts t to an interval, and the line adds the
-    length of their intersection.  The cap bounds the number of lines.
+    length of their intersection.  The cap bounds the number of lines and
+    the pair tests of P's double description.
     """
     q = ctx.q
-    rays = [ray for ray, _ in spec.unit_region[0]]
+    cap = resolve_cap(cap)
+    rays = [ray for ray, _ in spec.unit_region(cap)[0]]
     if not rays:
         raise RuntimeError("facet region has no vertices; spec is invalid")
     # a ray is (c*t, t) for the vertex c: ceil(c_k*q) and floor(c_k*q)
@@ -507,7 +492,7 @@ def box_count_oracle(
     t = max(range(spec.dim), key=lambda k: len(ranges[k]))
     t_range = ranges.pop(t)
     lines = math.prod(map(len, ranges))
-    check_cap(lines, resolve_cap(cap), "bounding-box enumeration", "lines")
+    check_cap(lines, cap, "bounding-box enumeration", "lines")
     facets = [(row[t], row[:t] + row[t + 1 :]) for row in spec.pairings]
     count = 0
     for c in itertools.product(*ranges):

@@ -1,19 +1,17 @@
-"""F-signature: finite-level terms and exact values.
+"""F-signature: finite-level terms and the exact value.
 
 The e-th term is s_e = a_e / q^d with a_e the number of summands of
 F^e_* R in a chosen divisor class (the trivial class by default, giving the
 free rank).  The exact limit never comes from truncating that sequence: it
-is either the volume of the region where every facet value lies in [0, 1],
-taken in lattice coordinates, or Singh's determinantal closed form for the
-size-(r, s) generic determinantal rings, both computed in exact rational
-arithmetic.
+is the volume of the region where every facet value lies in [0, 1], taken
+in lattice coordinates and computed in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
+from .caps import resolve_cap
 from .divisors import WeilDivisor, class_group, class_of
 from .frobenius import (
     FrobeniusContext,
@@ -38,11 +36,6 @@ class WitnessRow(Record):
     s_e: Fraction
     n_e: int
     rank: int
-
-
-class ExactFSignature(Record):
-    value: Fraction
-    method: str  # "polytope_volume" or "singh_formula"
 
 
 def signature_sequence(
@@ -75,31 +68,26 @@ def signature_sequence(
     return out
 
 
-def exact_signature_volume(spec: RingSpec) -> ExactFSignature:
+def check_volume_dimension(spec: RingSpec) -> None:
+    """Refuse a spec above ``VOLUME_DIM_LIMIT`` as bad input, before any
+    work is spent on it."""
+    if spec.dim > VOLUME_DIM_LIMIT:
+        raise ValueError(
+            f"exact volume supports dimension <= {VOLUME_DIM_LIMIT}, got {spec.dim}"
+        )
+
+
+def exact_signature_volume(spec: RingSpec, cap: int | None = None) -> Fraction:
     """Exact F-signature of a valid spec as a region volume.
 
     In lattice coordinates c the cosets contributing a free summand are the
     c/q with c in [0, q)^d and 0 <= Gc < q, so their density is the volume
     of P = {c : 0 <= Gc <= 1}, hence the limit of s_e; it is the volume of
-    {u : 0 <= facet_i(u) <= 1} over the index of L in Z^d.
+    {u : 0 <= facet_i(u) <= 1} over the index of L in Z^d.  The double
+    description of P counts its pair tests against the resolved cap.
     """
-    if spec.dim > VOLUME_DIM_LIMIT:
-        raise ValueError(
-            f"exact volume supports dimension <= {VOLUME_DIM_LIMIT}, got {spec.dim}"
-        )
-    if not spec.unit_region[0]:
+    cap = resolve_cap(cap)
+    check_volume_dimension(spec)
+    if not spec.unit_region(cap)[0]:
         raise RuntimeError("facet region is unbounded; spec is not pointed")
-    return ExactFSignature(value=spec.unit_region_volume, method="polytope_volume")
-
-
-def singh_determinantal_signature(s: int, d: int) -> ExactFSignature:
-    """Singh's closed form for generic determinantal rings:
-    (1/d!) * sum_{i=0}^{s} (-1)^i * C(d+1, i) * (s-i)^d."""
-    if s < 1 or d < 1:
-        raise ValueError("need s >= 1 and d >= 1")
-    total = sum(
-        (-1) ** i * math.comb(d + 1, i) * (s - i) ** d for i in range(s + 1)
-    )
-    return ExactFSignature(
-        value=Fraction(total, math.factorial(d)), method="singh_formula"
-    )
+    return spec.unit_region_volume

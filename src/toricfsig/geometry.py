@@ -107,12 +107,12 @@ def _cone_rows(halfspaces: list[Halfspace], dim: int) -> list[tuple[int, ...]]:
     return [integer_row([-x for x in a] + [b]) for a, b in halfspaces] + [(0,) * dim + (1,)]
 
 
-def _extreme_rays(rows, dim: int, cap: int | None = None):
+def _extreme_rays(rows, dim: int, cap: int | None = None, what: str = "the cone"):
     """Extreme rays of {x in R^(dim+1) : h.x >= 0 for every row h}, each a
     primitive integer ray with its zero set (bit k: tight on rows[k]).
     None when the rows have rank below dim + 1: the cone then contains a
-    line.  With a cap, raises CapExceededError once the pairs of rays that
-    the inserted rows test add up to more than the cap."""
+    line.  With a cap, raises CapExceededError, naming ``what``, once the
+    pairs of rays that the inserted rows test add up to more than the cap."""
     n = dim + 1
     indices = list(range(len(rows)))
     order = indices[-1:] + indices[:-1]  # t >= 0 first
@@ -142,7 +142,7 @@ def _extreme_rays(rows, dim: int, cap: int | None = None):
         neg = [i for i, v in enumerate(vals) if v < 0]
         pair_tests += len(pos) * len(neg)
         if cap is not None:
-            check_cap(pair_tests, cap, "the cone's double description", "pair tests")
+            check_cap(pair_tests, cap, f"{what}'s double description", "pair tests")
         new_rays = [r for r, v in zip(rays, vals) if v >= 0]
         new_zeros = [z | bit if v == 0 else z for z, v in zip(zeros, vals) if v >= 0]
         for i in pos:
@@ -161,10 +161,11 @@ def _extreme_rays(rows, dim: int, cap: int | None = None):
     return list(zip(rays, zeros))
 
 
-def _vertex_rays(halfspaces: list[Halfspace], dim: int):
+def _vertex_rays(halfspaces: list[Halfspace], dim: int, cap: int | None = None):
     """The vertices of {u : a.u <= b} as rays (u*t, t) with t > 0, each with
-    its zero set over the halfspaces."""
-    rays = _extreme_rays(_cone_rows(halfspaces, dim), dim) or []
+    its zero set over the halfspaces; the double description checks the
+    cap when one is given."""
+    rays = _extreme_rays(_cone_rows(halfspaces, dim), dim, cap, "the region") or []
     return [(r, z) for r, z in rays if r[-1] > 0]
 
 
@@ -203,10 +204,10 @@ def row_incidence(rays, nrows: int) -> list[int]:
     return [sum(1 << v for v, (_, z) in enumerate(rays) if z >> i & 1) for i in range(nrows)]
 
 
-def vertex_incidence(halfspaces: list[Halfspace], dim: int):
+def vertex_incidence(halfspaces: list[Halfspace], dim: int, cap: int | None = None):
     """The vertices of a bounded region {u : a.u <= b} as rays (u*t, t),
     and the bitmask tight[i] of the vertices halfspace i is tight at."""
-    vertices = _vertex_rays(halfspaces, dim)
+    vertices = _vertex_rays(halfspaces, dim, cap)
     return vertices, row_incidence(vertices, len(halfspaces))
 
 

@@ -72,8 +72,8 @@ class RingSpec(Record):
         return len(self.facets)
 
     # Everything derived from a spec is computed at most once per spec
-    # object: cached_property writes the instance __dict__, which neither
-    # equality, hashing nor repr reads.
+    # object: cached_property and ``unit_region`` write the instance
+    # __dict__, which neither equality, hashing nor repr reads.
 
     @cached_property
     def pairings(self) -> tuple[tuple, ...]:
@@ -97,21 +97,25 @@ class RingSpec(Record):
 
         return class_group_of(pairing_matrix(self))
 
-    @cached_property
-    def unit_region(self):
+    def unit_region(self, cap: int | None = None):
         """``vertex_incidence`` of P = {c : 0 <= g_i.c <= 1} in lattice
         coordinates: halfspace 2i is g_i.c >= 0 and 2i + 1 is g_i.c <= 1.
         The exact volume, ``unit_region_vertices`` and the box oracle read
-        it; ``validate`` answers its questions on the cone and never does."""
-        halfspaces = []
-        for g in self.pairings:
-            halfspaces += [(tuple(-x for x in g), 0), (g, 1)]
-        return vertex_incidence(halfspaces, self.dim)
+        it; ``validate`` answers its questions on the cone and never does.
+        Its double description counts its pair tests against ``cap`` when
+        given; once computed, the region is kept and costs no more work."""
+        region = self.__dict__.get("_unit_region")
+        if region is None:
+            halfspaces = []
+            for g in self.pairings:
+                halfspaces += [(tuple(-x for x in g), 0), (g, 1)]
+            region = self.__dict__["_unit_region"] = vertex_incidence(halfspaces, self.dim, cap)
+        return region
 
     @cached_property
     def unit_region_volume(self) -> Fraction:
         """The volume of P in lattice coordinates, for a pointed cone."""
-        return incidence_volume(self.unit_region, self.dim)
+        return incidence_volume(self.unit_region(), self.dim)
 
 
 def pairing_matrix(spec: RingSpec) -> IntMat:
@@ -132,7 +136,7 @@ def unit_region_vertices(spec: RingSpec):
     basis_t = spec.lattice.basis.transpose()
     return tuple(sorted(
         tuple(Fraction(x, ray[-1]) for x in basis_t.mul_vector(ray[:-1]))
-        for ray, _ in spec.unit_region[0]
+        for ray, _ in spec.unit_region()[0]
     ))
 
 

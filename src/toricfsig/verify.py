@@ -21,7 +21,12 @@ from fractions import Fraction
 from .caps import CapExceededError
 from .divisors import WeilDivisor, class_group
 from .frobenius import FrobeniusContext, coset_rows
-from .fsignature import WitnessRow, exact_signature_volume, signature_sequence
+from .fsignature import (
+    WitnessRow,
+    check_volume_dimension,
+    exact_signature_volume,
+    signature_sequence,
+)
 from .record import Record
 from .rings import RingSpec, parse_builtin, ring_to_dict
 
@@ -47,13 +52,15 @@ def verify_ring(
     """Exact verdict for one ring at one characteristic.
 
     The witness rows are those of ``signature_sequence`` for e = 1..e_max,
-    up to ``q_max`` when given; enumeration-cap overruns propagate with the
-    ring named.
+    up to ``q_max`` when given, counted before the volume, and a dimension
+    the volume does not support is refused before either; enumeration-cap
+    overruns of both propagate with the ring named.
     """
     torsion = class_group(spec).torsion_cardinality
-    exact = exact_signature_volume(spec).value
+    check_volume_dimension(spec)
     try:
         witnesses = signature_sequence(spec, p, e_max, q_max=q_max, cap=cap)
+        exact = exact_signature_volume(spec, cap)
     except CapExceededError as exc:
         raise CapExceededError(f"{spec.name} (p={p}): {exc}") from exc
     product = torsion * exact

@@ -18,7 +18,7 @@ from toricfsig.divisors import (
     class_group,
     torsion_elements,
 )
-from toricfsig.frobenius import FrobeniusContext, decompose, multiplicity_of, resolve_cap
+from toricfsig.frobenius import FrobeniusContext, decompose, multiplicity_of
 from toricfsig.fsignature import exact_signature_volume
 from toricfsig.geometry import solve_square
 from toricfsig.linalg import IntMat, smith_normal_form
@@ -177,6 +177,16 @@ def cokernel_invariants(a: IntMat) -> tuple[int, list[int]]:
     return free_rank, [d for d in nonzero if d > 1]
 
 
+def singh_determinantal_signature(s: int, d: int) -> Fraction:
+    """Singh's closed form for the F-signature of generic determinantal
+    rings (Singh, JPAA 2005):
+    (1/d!) * sum_{i=0}^{s} (-1)^i * C(d+1, i) * (s-i)^d."""
+    if s < 1 or d < 1:
+        raise ValueError("need s >= 1 and d >= 1")
+    total = sum((-1) ** i * math.comb(d + 1, i) * (s - i) ** d for i in range(s + 1))
+    return Fraction(total, math.factorial(d))
+
+
 def dump_ring_file(spec: RingSpec, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(ring_to_dict(spec), fh, indent=2, sort_keys=True)
@@ -212,8 +222,8 @@ def verify_per_class_convergence(
     first e where each class appears, and the deviation at the largest e.
     """
     cg = class_group(spec)
-    classes = torsion_elements(cg, resolve_cap(cap))
-    exact = exact_signature_volume(spec).value
+    classes = torsion_elements(cg, cap)
+    exact = exact_signature_volume(spec)
     decs = []
     for e in range(1, e_max + 1):
         ctx = FrobeniusContext(p, e)

@@ -3,7 +3,10 @@
 The benchmark imports some names that no package code calls, and its
 tracer (``--trace 1``) wraps the functions listed in ``tracer.LAYERS``.
 These tests read both from the source, so that removing such a name fails
-here rather than in a benchmark run.
+here rather than in a benchmark run.  The last test keeps the other way
+closed: every name of ``toricfsig.__all__`` is used by package code or
+reached by the benchmark, so no oracle that only the tests call is library
+API.
 """
 
 import ast
@@ -12,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+PACKAGE = ROOT / "src" / "toricfsig"
 
 # methods the benchmark calls on package objects that no package code calls
 METHODS = (("ClassGroupData", "add", "cg.add("),
@@ -74,3 +79,30 @@ def test_every_traced_layer_function_exists():
 def test_methods_the_benchmark_calls_exist(cls, method, call):
     assert any(call in source for source in _sources().values())
     assert callable(getattr(getattr(importlib.import_module("toricfsig"), cls), method, None))
+
+
+def _package_references():
+    """Every name that package code outside ``__init__.py`` reads, imports
+    or takes as an attribute, leaving out the body of a top-level function
+    or class that shares the name: a definition does not use itself."""
+    names = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        node.name if isinstance(node, ast.alias) else None)
+                if name is not None and name != own:
+                    names.add(name)
+    return names
+
+
+def test_every_library_name_is_used_by_the_package_or_the_benchmark():
+    reached = {name for _, _, name in _imports()}
+    reached |= {name for names in _layers().values() for name in names}
+    used = _package_references()
+    unused = sorted(set(importlib.import_module("toricfsig").__all__) - used - reached)
+    assert unused == []

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import DENSE, KLEIN, MIXED, listed_cosets
 from test_frobenius import random_spec
-from toricfsig.cli import main
+from toricfsig.cli import main, memo_limit, numerator_memo
 from toricfsig.rings import ring_to_dict, validate
 
 PKG_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -460,6 +460,24 @@ def test_detail_keeps_its_memos_bounded():
     assert peak < 6_000_000, peak
 
 
+def test_numerator_memo_holds_sixteen_rows_and_none_in_dimension_1():
+    # a prefix row has up to q numerators per coordinate; in d = 1 the one
+    # row has q distinct ones, and the memo is skipped
+    made = []
+
+    def make(n):
+        made.append(n)
+        return -n
+
+    assert numerator_memo(make, 1024, 1) is make
+    memo = numerator_memo(make, 1024, 2)
+    assert memo_limit(1024) == 16 * 1024
+    assert memo_limit(2) == 4096
+    for _ in range(2):
+        assert [memo(n) for n in range(16 * 1024)] == [-n for n in range(16 * 1024)]
+    assert made == list(range(16 * 1024))
+
+
 def test_detail_text_of_a_numerator_is_that_of_its_fraction():
     from fractions import Fraction
 
@@ -770,6 +788,21 @@ def test_ring_file_cone_is_capped(tmp_path):
     assert code == 0, err
     assert "class group: trivial" in out
     assert time.process_time() - start < 1.0
+
+
+def test_exact_volume_is_capped(tmp_path):
+    # the dense ring's cone needs 3 pair tests and its unit region 106: a
+    # cap of 50 lets validation and the count through and stops the volume
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(DENSE))
+    argv = ["fsig", "--ring", str(path), "-p", "2", "-e", "1", "--exact"]
+    code, out, err = _run_in_process(argv + ["--cap", "50"])
+    assert (code, out) == (3, "")
+    assert err == ("error: the region's double description needs 106 pair tests, over "
+                   "the cap of 50; raise it with --cap or TORICFSIG_CAP\n")
+    code, out, err = _run_in_process(argv + ["--cap", "106"])
+    assert code == 0, err
+    assert "exact F-signature: " in out
 
 
 def _fresh(body):

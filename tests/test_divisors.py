@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 from helpers import divisorial_points, order_of_class, point_from_coefficients, principal_divisor
 
+from toricfsig.caps import CapExceededError
 from toricfsig.divisors import (
-    CapExceededError,
     WeilDivisor,
     class_group,
     class_of,
@@ -117,6 +117,15 @@ def test_torsion_elements_enumeration():
     assert len(torsion_elements(ver4)) == 4
     with pytest.raises(CapExceededError):
         torsion_elements(an3, cap=2)
+
+
+def test_torsion_elements_reads_the_cap_variable(monkeypatch):
+    an3 = class_group(parse_builtin("an:3"))
+    monkeypatch.setenv("TORICFSIG_CAP", "2")
+    with pytest.raises(CapExceededError, match="needs 3 classes, over the cap of 2"):
+        torsion_elements(an3)
+    monkeypatch.setenv("TORICFSIG_CAP", "3")
+    assert len(torsion_elements(an3)) == 3
 
 
 def test_divisorial_points_examples():

@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 from helpers import BOX_RING, KLEIN, MIXED, coefficients_of, listed_cosets
 
+from toricfsig.caps import CapExceededError
 from toricfsig.divisors import (
-    CapExceededError,
     WeilDivisor,
     class_group,
     class_of,
@@ -550,24 +550,6 @@ def test_listing_with_pairings_far_above_q_keeps_its_memos_bounded():
         tracemalloc.stop()
     assert runs == 256 * 256
     assert peak < 6_000_000, peak
-
-
-def test_numerator_memo_holds_sixteen_rows_and_none_in_dimension_1():
-    # a prefix row has up to q numerators per coordinate; in d = 1 the one
-    # row has q distinct ones, and the memo is skipped
-    made = []
-
-    def make(n):
-        made.append(n)
-        return -n
-
-    assert frobenius.numerator_memo(make, 1024, 1) is make
-    memo = frobenius.numerator_memo(make, 1024, 2)
-    assert frobenius.memo_limit(1024) == 16 * 1024
-    assert frobenius.memo_limit(2) == 4096
-    for _ in range(2):
-        assert [memo(n) for n in range(16 * 1024)] == [-n for n in range(16 * 1024)]
-    assert made == list(range(16 * 1024))
 
 
 def test_one_dimensional_plain_count_scans_one_row():

@@ -4,35 +4,29 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from helpers import singh_determinantal_signature
 
 from toricfsig.cli import main
 from toricfsig.divisors import WeilDivisor, class_group
 from toricfsig.frobenius import FrobeniusContext, decompose, free_rank
-from toricfsig.fsignature import (
-    exact_signature_volume,
-    signature_sequence,
-    singh_determinantal_signature,
-)
+from toricfsig.fsignature import exact_signature_volume, signature_sequence
 from toricfsig.rings import parse_builtin
 
 
 def test_exact_volume_values():
     for n in range(2, 7):
-        assert exact_signature_volume(parse_builtin(f"an:{n}")).value == F(1, n)
-        assert exact_signature_volume(parse_builtin(f"veronese:{n}")).value == F(1, n)
+        assert exact_signature_volume(parse_builtin(f"an:{n}")) == F(1, n)
+        assert exact_signature_volume(parse_builtin(f"veronese:{n}")) == F(1, n)
     for d in (1, 2, 3):
-        assert exact_signature_volume(parse_builtin(f"poly:{d}")).value == 1
-    quadric = exact_signature_volume(parse_builtin("quadric"))
-    assert quadric.value == F(2, 3)
-    assert quadric.method == "polytope_volume"
+        assert exact_signature_volume(parse_builtin(f"poly:{d}")) == 1
+    assert exact_signature_volume(parse_builtin("quadric")) == F(2, 3)
 
 
 def test_singh_formula():
-    assert singh_determinantal_signature(2, 3).value == F(2, 3)
-    assert singh_determinantal_signature(1, 1).value == 1
-    assert singh_determinantal_signature(2, 3).method == "singh_formula"
+    assert singh_determinantal_signature(2, 3) == F(2, 3)
+    assert singh_determinantal_signature(1, 1) == 1
     # 2x2 minors of a generic 3x3 matrix: alternating sum gives 11/20
-    assert singh_determinantal_signature(3, 5).value == F(11, 20)
+    assert singh_determinantal_signature(3, 5) == F(11, 20)
     with pytest.raises(ValueError):
         singh_determinantal_signature(0, 3)
     with pytest.raises(ValueError):
@@ -40,10 +34,8 @@ def test_singh_formula():
 
 
 def test_singh_matches_quadric_volume():
-    assert (
-        singh_determinantal_signature(2, 3).value
-        == exact_signature_volume(parse_builtin("quadric")).value
-    )
+    quadric = exact_signature_volume(parse_builtin("quadric"))
+    assert singh_determinantal_signature(2, 3) == quadric
 
 
 def test_sequences_an2():
@@ -110,7 +102,7 @@ def test_convergence_report_exact_deviations():
     # s_e of an:2 at p = 2 is exactly the limit at every e
     spec = parse_builtin("an:2")
     exact = exact_signature_volume(spec)
-    assert all(est.s_e == exact.value for est in signature_sequence(spec, 2, 3))
+    assert all(est.s_e == exact for est in signature_sequence(spec, 2, 3))
     code, out = _fsig("--builtin", "an:2", "-p", "2", "-e", "3", "--exact")
     assert code == 0
     assert out.count("|s_e-s|=0 (~0)\n") == 3
@@ -120,7 +112,7 @@ def test_convergence_report_envelope_values():
     spec = parse_builtin("an:2")
     exact = exact_signature_volume(spec)
     (est,) = signature_sequence(spec, 3, 1)
-    assert abs(est.s_e - exact.value) == F(1, 18)
+    assert abs(est.s_e - exact) == F(1, 18)
     code, out = _fsig("--builtin", "an:2", "-p", "3", "-e", "1", "--exact")
     assert code == 0
     assert "  e=1  q=3  a_e=5  s_e=5/9  |s_e-s|=1/18 (~0.0556)\n" in out
@@ -143,7 +135,7 @@ def test_volume_agrees_with_counts_at_large_q():
     # coarse numeric sanity: s_e should be near the exact volume by q = 64
     for token in ["an:3", "veronese:5", "quadric"]:
         spec = parse_builtin(token)
-        exact = exact_signature_volume(spec).value
+        exact = exact_signature_volume(spec)
         e = 6 if spec.dim == 2 else 5
         ctx = FrobeniusContext(2, e)
         dec = decompose(spec, WeilDivisor((0,) * spec.num_facets), ctx)

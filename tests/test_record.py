@@ -9,7 +9,7 @@ from helpers import ClassConvergenceRow, ClassConvergenceTable
 import toricfsig  # noqa: F401  (imports every record type)
 from toricfsig.divisors import ClassElement, ClassGroupData, WeilDivisor, class_group
 from toricfsig.frobenius import FrobeniusContext, FrobeniusDecomposition
-from toricfsig.fsignature import ExactFSignature, WitnessRow
+from toricfsig.fsignature import WitnessRow
 from toricfsig.linalg import IntMat, SmithDecomposition
 from toricfsig.record import Record
 from toricfsig.rings import FacetFunctional, Lattice, RingSpec, parse_builtin
@@ -45,7 +45,6 @@ FIELDS = {
     FrobeniusContext: {"p": 3, "e": 2},
     FrobeniusDecomposition: {"spec": SPEC, "ctx": CTX, "base_divisor": WeilDivisor((0, 0)),
                              "summands": {}},
-    ExactFSignature: {"value": Fraction(1, 3), "method": "singh_formula"},
     WitnessRow: {"e": 1, "q": 2, "a_e": 2, "s_e": Fraction(1, 2), "n_e": 4, "rank": 4},
     TheoremVerdict: {"ring": "r", "p": 2, "torsion_cardinality": 3,
                      "exact_signature": Fraction(1, 3), "inequality_holds": True,
@@ -62,7 +61,7 @@ TYPES = pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
 
 
 def test_every_record_type_is_listed():
-    assert len(FIELDS) == 18
+    assert len(FIELDS) == 17
     package = {c for c in Record.__subclasses__() if c.__module__.startswith("toricfsig.")}
     assert package == {c for c in FIELDS if c.__module__.startswith("toricfsig.")}
 
@@ -146,7 +145,7 @@ def test_records_of_different_types_are_unequal():
     assert Left(1) != Right(1)
     assert Left(1).__eq__(Right(1)) is NotImplemented
     assert WeilDivisor((1, 2)) != (1, 2)
-    assert FrobeniusContext(2, 1) != ExactFSignature(2, 1)
+    assert FrobeniusContext(2, 1) != ClassElement(2, 1)
 
 
 def test_post_init_checks_still_fire():

@@ -5,9 +5,9 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from helpers import verify_per_class_convergence
+from helpers import DENSE, verify_per_class_convergence
 
-from toricfsig.divisors import CapExceededError
+from toricfsig.caps import CapExceededError
 from toricfsig.fsignature import signature_sequence
 from toricfsig.rings import parse_builtin, ring_from_dict, validate
 from toricfsig.verify import (
@@ -76,6 +76,16 @@ def test_cap_error_carries_ring_context():
     with pytest.raises(CapExceededError) as err:
         verify_ring(parse_builtin("an:2"), 2, 3, cap=1)
     assert "an:2" in str(err.value)
+    # the count of dense at q = 2 fits a cap of 50, and the 106 pair tests
+    # of its unit region do not
+    with pytest.raises(CapExceededError, match=r"^dense \(p=2\): the region's double"):
+        verify_ring(ring_from_dict(DENSE), 2, 1, cap=50)
+
+
+def test_unsupported_dimension_is_refused_before_the_count():
+    # counting poly:5 at q = 5^4 would pass the cap; the volume refuses d = 5
+    with pytest.raises(ValueError, match="exact volume supports dimension <= 4, got 5"):
+        verify_ring(parse_builtin("poly:5"), 5, 4)
 
 
 def test_per_class_convergence_small():
